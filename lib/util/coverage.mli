@@ -15,6 +15,17 @@ val create : unit -> t
 val hit : t -> file:string -> line:int -> unit
 (** [hit t ~file ~line] increments the execution count of a line. *)
 
+type counter
+(** One line's execution count inside a recording, resolved once. *)
+
+val counter : t -> file:string -> line:int -> counter
+(** [counter t ~file ~line] binds the line's count for repeated hits. It
+    records nothing by itself: a line whose counter never fires stays
+    absent from {!files}, {!lines_hit} and {!dump}. *)
+
+val incr : counter -> unit
+(** [incr c] is [hit] on the counter's line, in O(1) with no lookup. *)
+
 val merge : t -> t -> t
 (** [merge a b] sums two recordings (e.g. several benchmark runs). *)
 

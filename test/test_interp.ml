@@ -78,6 +78,134 @@ let test_step_budget () =
   | Error e -> checkb "budget message" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "expected step-budget error"
 
+let test_step_budget_location () =
+  let o =
+    run_c ~max_steps:100
+      "int main() {\n  int s = 0;\n  while (true) {\n    s = s + 1;\n  }\n  return s;\n}"
+  in
+  Alcotest.(check (result reject string))
+    "message and location"
+    (Error "step budget exhausted (100) at t.cpp:4:6")
+    (Result.map (fun _ -> ()) o.Ic.result);
+  checki "steps at exhaustion" 101 o.Ic.steps
+
+(* Each program never ends by itself; the budget or the call-depth limit
+   must end it, fast. One test case per program. *)
+let nonterminating_cases =
+  List.map
+    (fun (what, max_steps, src, expect) ->
+      Alcotest.test_case what `Quick (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let o = run_c ?max_steps src in
+          let dt = Unix.gettimeofday () -. t0 in
+          (match o.Ic.result with
+          | Error e -> checkb e true (Sv_util.Xstring.starts_with ~prefix:expect e)
+          | Ok _ -> Alcotest.fail "expected an error");
+          checkb (Printf.sprintf "ends within 1 s (%.3f s)" dt) true (dt < 1.0)))
+    [
+      ("empty for(;;)", Some 1000, main "for (;;) { } return 0;", "step budget exhausted (1000)");
+      ("empty while(1)", Some 1000, main "while (1) { } return 0;", "step budget exhausted (1000)");
+      ("empty do-while", Some 1000, main "do { } while (1); return 0;", "step budget exhausted (1000)");
+      ( "empty parallel_for body",
+        Some 1000,
+        main "Kokkos::parallel_for(1000000000, [=](int i) { }); return 0;",
+        "step budget exhausted (1000)" );
+      ( "unbounded recursion",
+        None,
+        "int f(int n) { return f(n + 1); } int main() { return f(0); }",
+        Printf.sprintf "call depth limit exceeded (%d)" Ic.max_call_depth );
+    ]
+
+(* --- scoping: the rules every port and mutant relies on --- *)
+
+let test_scope_use_before_inner_decl () =
+  checki "block: outer x until the inner declaration" 121
+    (result_int (main "int x = 1; int r = 0; { r = x; int x = 2; r = r * 10 + x; } return r * 10 + x;"));
+  checki "every loop iteration starts from the outer x" 151515
+    (result_int
+       (main
+          "int x = 1; int s = 0; for (int i = 0; i < 3; i++) { s = s * 10 + x; int x = 5; s = s * 10 + x; } return s;"))
+
+let test_scope_redeclaration () =
+  checki "fresh cell; &x keeps the old one" 27
+    (result_int (main "int x = 1; int *p = &x; int x = 2; *p = 7; return x * 10 + *p;"))
+
+let test_scope_for_init () =
+  checki "body declaration does not replace the loop variable" 30
+    (result_int (main "int s = 0; for (int i = 0; i < 3; i++) { int i = 10; s = s + i; } return s;"))
+
+let test_scope_lambda_late_binding () =
+  checki "assignment after creation is seen" 5
+    (result_int (main "int x = 1; auto f = [=]() { return x; }; x = 5; return f();"));
+  checki "same-scope redeclaration after creation is seen" 2
+    (result_int (main "int x = 1; auto f = [=]() { return x; }; int x = 2; return f();"));
+  checki "a later declaration is seen only once it has run" 75
+    (result_int
+       "int y = 7; int main() { auto f = [=]() { return y; }; int r = f(); int y = 5; return r * 10 + f(); }");
+  checki "each loop iteration starts without the body's declarations" 7071
+    (result_int
+       "int y = 7; int main() { int s = 0; for (int i = 0; i < 2; i++) { auto f = [=]() { return y; }; s = s * 10 + f(); int y = i; s = s * 10 + f(); } return s; }")
+
+let test_scope_reference_params () =
+  checki "T& aliases a pointer argument, T copies it" 2
+    (result_int
+       "void inc(int &v) { v = v + 1; } void nop(int v) { v = 9; } int main() { int x = 1; int *p = &x; inc(p); nop(p); return x; }")
+
+let test_scope_thread_indices () =
+  checki "blockIdx/threadIdx fresh for every thread" 12012
+    (result_int
+       {|
+__global__ void k(int *out) {
+  out[blockIdx.x * blockDim.x + threadIdx.x] = threadIdx.x;
+  threadIdx.x = 100;
+}
+int main() {
+  int *o = new int[6];
+  k<<<2, 3>>>(o);
+  int s = 0;
+  for (int i = 0; i < 6; i++) { s = s * 10 + o[i]; }
+  return s;
+}
+|})
+
+(* --- run never raises: every bad access is a located error, one test
+   case per path --- *)
+
+let located_error_cases =
+  List.map
+    (fun (what, src, expect) ->
+      Alcotest.test_case what `Quick (fun () ->
+          match run_c src with
+          | { Ic.result = Error e; _ } -> Alcotest.(check string) "error" expect e
+          | { Ic.result = Ok _; _ } -> Alcotest.fail "expected an error"
+          | exception ex -> Alcotest.failf "raised %s" (Printexc.to_string ex)))
+    [
+      ( "Kokkos view read past the end",
+        main "Kokkos::View<double*> a(\"a\", 3); double x = a(5); return 0;",
+        "index 5 out of bounds [0,3) at t.cpp:1:57" );
+      ( "Kokkos view write past the end",
+        main "Kokkos::View<double*> a(\"a\", 3); a(5) = 1.0; return 0;",
+        "index 5 out of bounds [0,3) at t.cpp:1:46" );
+      ( "read through double** past the end",
+        main "double *a = new double[4]; double **p = &a; double x = p[7]; return 0;",
+        "index 7 out of bounds [0,4) at t.cpp:1:68" );
+      ( "write through double** past the end",
+        main "double *a = new double[4]; double **p = &a; p[7] = 1.0; return 0;",
+        "index 7 out of bounds [0,4) at t.cpp:1:57" );
+      ( "*a on a malloc(0) array",
+        main "double *a = (double *)malloc(0); double x = *a; return 0;",
+        "index 0 out of bounds [0,0) at t.cpp:1:57" );
+      ( "new double[n] with n < 0",
+        main "int n = -1; double *a = new double[n]; return 0;",
+        "negative array size -1 at t.cpp:1:37" );
+      ( "malloc of a negative size",
+        main "double *a = (double *)malloc(-8); return 0;",
+        "negative array size -1 at t.cpp:1:35" );
+      ( "kernel launch without a block size",
+        "__global__ void k(double *a) { } int main() { double *a; k<<<1>>>(a); return 0; }",
+        "kernel launch expects <<<grid, block>>> at t.cpp:1:57" );
+    ]
+
 let test_printf_formats () =
   let o = run_c (main "printf(\"i=%d f=%f s=%s%%\\n\", 42, 1.5, \"x\"); return 0;") in
   Alcotest.(check string) "formatted" "i=42 f=1.500000 s=x%\n" o.Ic.output
@@ -291,6 +419,92 @@ let verify_c name all =
       | Error e -> Alcotest.failf "%s/%s: %s" name cb.Sv_corpus.Emit.model e)
     all
 
+(* --- golden outcomes ---
+
+   Index caches store each program's step count and coverage, and the
+   generator admits a mutant only when its run matches the seed's, so
+   every observable of a run is pinned here: result, output, steps and
+   the full coverage dump of each C codebase, folded into one digest per
+   corpus. A change to any of them is a semantics change that needs a
+   new Index_cache.pipeline_version. *)
+
+let c_units (cb : Sv_corpus.Emit.codebase) =
+  let resolve n = List.assoc_opt n cb.Sv_corpus.Emit.files in
+  List.map
+    (fun file ->
+      let src = List.assoc file cb.Sv_corpus.Emit.files in
+      let pp = Sv_lang_c.Preproc.run ~resolve ~defines:cb.Sv_corpus.Emit.defines ~file src in
+      Sv_lang_c.Parser.parse_tokens ~file pp.Sv_lang_c.Preproc.tokens)
+    (cb.Sv_corpus.Emit.main_file :: cb.Sv_corpus.Emit.extra_units)
+
+let outcome_string (o : Ic.outcome) =
+  let b = Buffer.create 1024 in
+  (match o.Ic.result with
+  | Ok v -> Buffer.add_string b (Format.asprintf "ok %a" Ic.pp_value v)
+  | Error e -> Buffer.add_string b ("error " ^ e));
+  Printf.bprintf b "\n%d\n%S\n" o.Ic.steps o.Ic.output;
+  List.iter
+    (fun (file, lines) ->
+      Printf.bprintf b "%s:" file;
+      List.iter (fun (l, n) -> Printf.bprintf b " %d=%d" l n) lines;
+      Buffer.add_char b '\n')
+    (Coverage.dump o.Ic.coverage);
+  Buffer.contents b
+
+(* (programs, total steps, hex digest) over the C codebases of a corpus *)
+let golden_of cbs =
+  let cbs = List.filter (fun cb -> cb.Sv_corpus.Emit.lang = `C) cbs in
+  let b = Buffer.create 4096 in
+  let steps =
+    List.fold_left
+      (fun acc (cb : Sv_corpus.Emit.codebase) ->
+        let o = Ic.run (c_units cb) in
+        Printf.bprintf b "%s/%s\n%s" cb.Sv_corpus.Emit.app cb.Sv_corpus.Emit.model
+          (outcome_string o);
+        acc + o.Ic.steps)
+      0 cbs
+  in
+  (List.length cbs, steps, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let gen_corpus spec =
+  match Sv_gen.Gen.parse_spec spec with
+  | Some s -> Sv_gen.Gen.codebases s
+  | None -> Alcotest.failf "bad spec %s" spec
+
+let golden =
+  [
+    ("babelstream", (fun () -> Sv_corpus.Babelstream.all ()),
+     (10, 311415, "fab31aeac1ffff14133c8d7755ae63b0"));
+    ("tealeaf", (fun () -> Sv_corpus.Tealeaf.all ()),
+     (10, 1071721, "7b766f786b95fa5a6928354b0b95d6a7"));
+    ("cloverleaf", (fun () -> Sv_corpus.Cloverleaf.all ()),
+     (10, 1854284, "1586765a959b89e06ea8bdb2e48c20a9"));
+    ("minibude", (fun () -> Sv_corpus.Minibude.all ()),
+     (10, 2032649, "7b7ff98af566d8ce4cfa6e473fcb81a1"));
+    ("gen:mutate:babelstream:1:40", (fun () -> gen_corpus "gen:mutate:babelstream:1:40"),
+     (40, 1432172, "76c1950787f9cb40b4bfdab4ea13395a"));
+    ("gen:grow:all:1:24", (fun () -> gen_corpus "gen:grow:all:1:24"),
+     (24, 161342, "028b89bbb3ee91c750ac86a8174b3194"));
+  ]
+
+let test_golden_outcomes () =
+  (* every corpus runs before the first check, so a failure shows all
+     the new values at once *)
+  let actual =
+    List.map
+      (fun (name, corpus, _) ->
+        let ((n, steps, digest) as got) = golden_of (corpus ()) in
+        Printf.printf "golden %s: (%d, %d, %S)\n%!" name n steps digest;
+        got)
+      golden
+  in
+  List.iter2
+    (fun (name, _, (n, steps, digest)) (n', steps', digest') ->
+      checki (name ^ " programs") n n';
+      checki (name ^ " steps") steps steps';
+      Alcotest.(check string) (name ^ " outcome digest") digest digest')
+    golden actual
+
 let test_verify_babelstream () = verify_c "babelstream" (Sv_corpus.Babelstream.all ())
 let test_verify_tealeaf () = verify_c "tealeaf" (Sv_corpus.Tealeaf.all ())
 let test_verify_cloverleaf () = verify_c "cloverleaf" (Sv_corpus.Cloverleaf.all ())
@@ -329,6 +543,18 @@ let () =
           Alcotest.test_case "out of bounds" `Quick test_out_of_bounds;
           Alcotest.test_case "unknown name" `Quick test_unknown_name;
           Alcotest.test_case "step budget" `Quick test_step_budget;
+          Alcotest.test_case "step budget message and location" `Quick test_step_budget_location;
+        ] );
+      ("c-nontermination", nonterminating_cases);
+      ("c-located-errors", located_error_cases);
+      ( "c-scoping",
+        [
+          Alcotest.test_case "use before inner declaration" `Quick test_scope_use_before_inner_decl;
+          Alcotest.test_case "same-scope redeclaration" `Quick test_scope_redeclaration;
+          Alcotest.test_case "for-init scope" `Quick test_scope_for_init;
+          Alcotest.test_case "lambda late binding" `Quick test_scope_lambda_late_binding;
+          Alcotest.test_case "reference parameters" `Quick test_scope_reference_params;
+          Alcotest.test_case "thread indices per thread" `Quick test_scope_thread_indices;
         ] );
       ( "dialects",
         [
@@ -367,4 +593,5 @@ let () =
           Alcotest.test_case "cloverleaf" `Slow test_verify_cloverleaf;
           Alcotest.test_case "minibude" `Slow test_verify_minibude;
         ] );
+      ("golden", [ Alcotest.test_case "outcome digests" `Quick test_golden_outcomes ]);
     ]

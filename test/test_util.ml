@@ -167,6 +167,30 @@ let test_coverage_merge () =
   check "summed count" 2 (Coverage.count m ~file:"f" ~line:1);
   checkb "other file" true (Coverage.covered m ~file:"g" ~line:2)
 
+let test_coverage_counters () =
+  let c = Coverage.create () in
+  let k = Coverage.counter c ~file:"f" ~line:7 in
+  let _unused = Coverage.counter c ~file:"g" ~line:1 in
+  Alcotest.(check (list string)) "a bound counter records nothing" [] (Coverage.files c);
+  Coverage.incr k;
+  Coverage.incr k;
+  Coverage.hit c ~file:"f" ~line:7;
+  check "incr and hit share the count" 3 (Coverage.count c ~file:"f" ~line:7);
+  Alcotest.(check (list string)) "only hit files" [ "f" ] (Coverage.files c)
+
+let test_coverage_extreme_lines () =
+  (* far and negative lines (a corrupt cache entry) must not allocate a
+     line-indexed array, and still round-trip *)
+  let entries = [ ("f", [ (-3, 1); (2, 4); (max_int, 2) ]) ] in
+  let c = Coverage.restore entries in
+  Alcotest.(check (list (pair string (list (pair int int))))) "round trip" entries
+    (Coverage.dump c);
+  check "far line" 2 (Coverage.count c ~file:"f" ~line:max_int);
+  let k = Coverage.counter c ~file:"f" ~line:(-3) in
+  Coverage.incr k;
+  Alcotest.(check (list int)) "sorted lines" [ -3; 2; max_int ] (Coverage.lines_hit c ~file:"f");
+  check "negative line" 2 (Coverage.count c ~file:"f" ~line:(-3))
+
 let test_coverage_keep_loc () =
   let c = Coverage.create () in
   Coverage.hit c ~file:"f" ~line:5;
@@ -270,6 +294,8 @@ let () =
         [
           Alcotest.test_case "hit/count/files" `Quick test_coverage_basics;
           Alcotest.test_case "merge" `Quick test_coverage_merge;
+          Alcotest.test_case "bound counters" `Quick test_coverage_counters;
+          Alcotest.test_case "extreme line numbers" `Quick test_coverage_extreme_lines;
           Alcotest.test_case "keep_loc mask" `Quick test_coverage_keep_loc;
         ] );
       ( "directive-syntax",
