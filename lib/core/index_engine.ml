@@ -214,6 +214,45 @@ let codebase_key ~run (cb : Emit.codebase) =
     ~dialect:(match cb.Emit.lang with `C -> "minic" | `F -> "minif")
     ()
 
+(* --- per-record content identity --------------------------------------- *)
+
+(* Two facts about an indexed record are asked for again and again: the
+   payload bytes (the corpus digest of a VP-tree key spans every
+   candidate's) and an exact content identity (the divergence memo's key).
+   Both are immutable functions of the record, and [index_many] already
+   holds them — the bytes it decoded on a hit or encoded for the cache on
+   a miss, the [codebase_key] it probed with — so they are kept per
+   physical record in ephemeron tables. An entry dies with its record,
+   and the payload string is the one the index cache holds, so keeping it
+   costs no copy. *)
+module Records = Ephemeron.K1.Make (struct
+  type t = Pipeline.indexed
+
+  let equal = ( == )
+
+  let hash (ix : t) =
+    Hashtbl.hash (ix.Pipeline.ix_app, ix.ix_model, ix.ix_model_name)
+end)
+
+let record_payloads : string Records.t = Records.create 64
+let record_keys : string Records.t = Records.create 64
+
+let payload ix =
+  match Records.find_opt record_payloads ix with
+  | Some p -> p
+  | None ->
+      let p = M.encode (indexed_to_msgpack ix) in
+      Records.replace record_payloads ix p;
+      p
+
+let content_key ix =
+  match Records.find_opt record_keys ix with
+  | Some k -> k
+  | None ->
+      let k = Digest.string (payload ix) in
+      Records.replace record_keys ix k;
+      k
+
 (* --- the engine ------------------------------------------------------- *)
 
 let decode_payload payload =
@@ -276,30 +315,33 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
   let cbs = Array.of_list cbs in
   let n = Array.length cbs in
   let out : Pipeline.indexed option array = Array.make n None in
-  (* cache probe *)
-  let keys = Array.make n "" in
+  (* cache probe; every record, hit or miss, carries its key *)
+  let keys = Array.map (codebase_key ~run) cbs in
   (match !cache_ref with
   | None -> ()
   | Some c ->
       Array.iteri
-        (fun i cb ->
-          let k = codebase_key ~run cb in
-          keys.(i) <- k;
+        (fun i k ->
           match Index_cache.find c k with
           | None -> ()
-          | Some payload -> out.(i) <- decode_payload payload)
-        cbs);
+          | Some p -> (
+              match decode_payload p with
+              | Some ix ->
+                  Records.replace record_payloads ix p;
+                  Records.replace record_keys ix k;
+                  out.(i) <- Some ix
+              | None -> ()))
+        keys);
   let misses =
     Array.to_list (Array.mapi (fun i cb -> (i, cb)) cbs)
     |> List.filter (fun (i, _) -> out.(i) = None)
   in
   let record i ix =
     out.(i) <- Some ix;
+    Records.replace record_keys ix keys.(i);
     match !cache_ref with
     | None -> ()
-    | Some c ->
-        let k = if keys.(i) <> "" then keys.(i) else codebase_key ~run cbs.(i) in
-        Index_cache.add c k (M.encode (indexed_to_msgpack ix))
+    | Some c -> Index_cache.add c keys.(i) (payload ix)
   in
   let nmiss = List.length misses in
   if nmiss > 0 then begin
@@ -399,24 +441,21 @@ let index ?run ?jobs ?chunk cb =
 
 (* --- TED warm-up ------------------------------------------------------ *)
 
-(* Compile the flat TED kernel of every tree a matrix sweep will touch,
-   before any pair is evaluated (and before any worker forks — children
-   then inherit the compiled kernels copy-on-write instead of each
-   recompiling them). Ascending size order keeps compile locality cheap;
-   reserving scratch for the two largest trees means no DP buffer ever
-   regrows mid-sweep. Distances are unaffected — this is purely a
-   warming pass. *)
+(* Compile the flat TED kernel of every tree a fan-out will run the DP
+   on, before any worker forks — children then inherit the compiled
+   kernels copy-on-write instead of each recompiling them. Ascending size
+   order keeps compile locality cheap; reserving scratch for the two
+   largest trees means no DP buffer ever regrows mid-sweep. Sizes are
+   computed once, not per comparison. Distances are unaffected — this is
+   purely a warming pass. *)
 let warm_ted (trees : Sv_tree.Label.tree list) =
   let sorted =
     List.stable_sort
-      (fun a b -> compare (Sv_tree.Tree.size a) (Sv_tree.Tree.size b))
-      trees
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.map (fun t -> (Sv_tree.Tree.size t, t)) trees)
   in
-  List.iter Sv_metrics.Divergence.warm_flat sorted;
+  List.iter (fun (_, t) -> Sv_metrics.Divergence.warm_flat t) sorted;
   match List.rev sorted with
-  | a :: b :: _ ->
-      Sv_tree.Flat.reserve (Sv_tree.Tree.size a) (Sv_tree.Tree.size b)
-  | [ a ] ->
-      let n = Sv_tree.Tree.size a in
-      Sv_tree.Flat.reserve n n
+  | (a, _) :: (b, _) :: _ -> Sv_tree.Flat.reserve a b
+  | [ (a, _) ] -> Sv_tree.Flat.reserve a a
   | [] -> ()

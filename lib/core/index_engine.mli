@@ -32,6 +32,21 @@ val codebase_key : run:bool -> Sv_corpus.Emit.codebase -> string
     the system-header mask and the [run] flag; defines and dialect are
     separate key components. Any change to any of them is a miss. *)
 
+val payload : Pipeline.indexed -> string
+(** [payload ix] is [Msgpack.encode (indexed_to_msgpack ix)], the bytes
+    the index cache stores for [ix]. {!index_many} keeps the bytes it
+    decoded on a cache hit, or encoded for the cache on a miss, with the
+    record; any other record is encoded on its first call. The bytes are
+    held weakly per physical record (an ephemeron table), so they live
+    exactly as long as the record does. *)
+
+val content_key : Pipeline.indexed -> string
+(** [content_key ix] names the record's content exactly, in 16 bytes:
+    the {!codebase_key} it was indexed or found under when it came from
+    {!index_many} (hit or miss alike — no payload is encoded for it),
+    otherwise the MD5 of {!payload}. Equal keys mean equal indexing
+    results; it is held weakly per record like {!payload}. *)
+
 type grain = [ `Serial | `Codebase | `Unit ]
 (** How a batch of cache misses is executed: in-process, fanned out at
     whole-codebase grain, or fanned out per translation unit. *)
@@ -70,18 +85,20 @@ val index_many :
     worker pool at whole-codebase grain (submission chunk [?chunk],
     default [max 1 (misses / (2 * jobs))]), or at unit grain when misses
     are scarcer than workers. Every freshly computed result is added to
-    the installed cache. [jobs] defaults to
+    the installed cache. Every returned record carries its
+    {!content_key}, and its {!payload} when a cache is installed. [jobs] defaults to
     {!Sv_sched.Sched.default_jobs}. The result is byte-identical to
     [List.map (Pipeline.index ~run) cbs] in all configurations. *)
 
 val warm_ted : Sv_tree.Label.tree list -> unit
 (** [warm_ted trees] pre-compiles the flat TED kernel of every tree
-    (ascending by size, memoised by intern id in
-    {!Sv_metrics.Divergence}) and pre-grows the shared DP scratch for the
-    two largest, so a following matrix sweep — serial or fanned over
-    forked workers, which inherit the compiled kernels copy-on-write —
-    never compiles or reallocates mid-pair. Purely a warming pass;
-    distances are unchanged. *)
+    (ascending by size, each size computed once; memoised by intern id
+    in {!Sv_metrics.Divergence}) and pre-grows the shared DP scratch for
+    the two largest, so forked workers, which inherit the compiled
+    kernels copy-on-write, never compile or reallocate mid-pair.
+    [Tbmd.matrix] calls it before a fan-out for the trees of the pairs
+    no cache answers; a serial sweep compiles on first use instead.
+    Purely a warming pass; distances are unchanged. *)
 
 (** {2 Payload codecs}
 

@@ -79,24 +79,23 @@ let absolute metric ix =
   | Source | TSrc | TSem | TSemI | TIr -> None
 
 (* The bench harness recomputes many pairs across figures (Fig. 4 and 5
-   share every TeaLeaf pair; Figs. 9–10 reuse them again), so raw
-   distances are memoised. The key carries a structural fingerprint of
-   both codebases, so re-indexing the same corpus hits while modified
-   codebases with recycled ids miss. *)
+   share every TeaLeaf pair; Figs. 9–10 reuse them again), and the daemon
+   answers the same pairs request after request, so raw distances are
+   memoised. The key names both codebases by exact content identity
+   ([Index_engine.content_key], 16 bytes each), so re-indexing the same
+   corpus hits, while generated corpora that recycle ids, and mutants
+   that keep every size, miss. *)
 let cache : (string, int * int) Hashtbl.t = Hashtbl.create 512
 let clear_memo () = Hashtbl.reset cache
 
-let fingerprint c =
-  List.fold_left
-    (fun acc u ->
-      acc + u.u_sloc + (31 * Tree.size u.u_t_sem) + (17 * Tree.size u.u_t_src))
-    (Hashtbl.hash (c.ix_app, c.ix_model))
-    c.ix_units
-
 let memo_key ~variant metric c1 c2 =
-  Printf.sprintf "%s|%s|%s/%s#%d|%s/%s#%d" (metric_label metric)
-    (variant_label variant) c1.ix_app c1.ix_model (fingerprint c1) c2.ix_app
-    c2.ix_model (fingerprint c2)
+  String.concat "|"
+    [
+      metric_label metric;
+      variant_label variant;
+      Index_engine.content_key c1;
+      Index_engine.content_key c2;
+    ]
 
 (* --- engine configuration ------------------------------------------- *)
 
@@ -292,6 +291,42 @@ let pair_result_of_msgpack = function
       (dij, dmaxij, adds)
   | _ -> failwith "Tbmd: malformed pair result"
 
+(* The trees a fan-out will run the DP on: both sides of every matched
+   unit pair that neither the memo nor the TED cache answers, each tree
+   once. Compiling their flat kernels (and sizing the DP scratch) before
+   the fork lets every worker inherit them copy-on-write instead of
+   compiling its own; a serial sweep needs no such pass, since
+   [Div.tree_distance] compiles each tree on first use. The probes here
+   leave the cache's hit and miss counters alone. *)
+let uncached_trees ~variant metric arr pairs =
+  let need = Array.map (fun c -> Array.make (List.length c.ix_units) false) arr in
+  let cached t1 t2 =
+    match !engine_cache with
+    | None -> false
+    | Some c -> Db.Ted_cache.mem c (Db.Ted_cache.digest t1) (Db.Ted_cache.digest t2)
+  in
+  Array.iter
+    (fun (i, j) ->
+      if not (Hashtbl.mem cache (memo_key ~variant metric arr.(i) arr.(j))) then
+        List.iteri
+          (fun k -> function
+            | Some u1, Some u2
+              when not
+                     (cached
+                        (tree_of metric variant arr.(i) u1)
+                        (tree_of metric variant arr.(j) u2)) ->
+                need.(i).(k) <- true;
+                need.(j).(k) <- true
+            | _ -> ())
+          (unit_pairs arr.(i) arr.(j)))
+    pairs;
+  List.concat
+    (List.mapi
+       (fun i c ->
+         List.filteri (fun k _ -> need.(i).(k)) c.ix_units
+         |> List.map (tree_of metric variant c))
+       (Array.to_list arr))
+
 let matrix ?(variant = Base) metric codebases =
   (* every raw distance (TED, O(NP), |ΔSLOC|) is symmetric; only dmax is
      directional, so each unordered pair is computed once *)
@@ -310,18 +345,6 @@ let matrix ?(variant = Base) metric codebases =
       incr idx
     done
   done;
-  (* Tree metrics on the flat kernel: compile every tree's flat form and
-     size the DP scratch up front, so neither the serial loop nor any
-     forked worker (which inherits the warm memo copy-on-write) compiles
-     or reallocates mid-pair. Pair order below is untouched — results,
-     memo and cache contents stay byte-identical. *)
-  (match metric with
-  | (TSrc | TSem | TSemI | TIr) when Div.ted_algo () = `Flat ->
-      Index_engine.warm_ted
-        (List.concat_map
-           (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
-           codebases)
-  | _ -> ());
   let tree_metric =
     match metric with TSrc | TSem | TSemI | TIr -> true | _ -> false
   in
@@ -375,6 +398,8 @@ let matrix ?(variant = Base) metric codebases =
         d.(j).(i) <- dij)
       pairs
   else begin
+    if tree_metric && Div.ted_algo () = `Flat then
+      Index_engine.warm_ted (uncached_trees ~variant metric arr pairs);
     (* Entries journalled before the fan-out belong to the parent; drop
        them from the journal (they are already in the table) so the first
        task of each worker ships only what it computed itself. *)
@@ -427,29 +452,24 @@ type vp = {
 (* The persisted-tree key commits to the full indexed payload of every
    candidate, in order — element ids are positions into that order — so
    any change to any codebase, the candidate set, or its order yields a
-   fresh key and the stale tree is merely unreachable. *)
+   fresh key and the stale tree is merely unreachable. It is the MD5 of
+   the msgpack array of the payloads, framed from the bytes each record
+   already carries ([Index_engine.payload]) instead of re-encoding the
+   corpus on every call. *)
 let corpus_digest codebases =
   Digest.string
-    (M.encode (M.Arr (List.map Index_engine.indexed_to_msgpack codebases)))
+    (String.concat ""
+       (M.array_header (List.length codebases)
+       :: List.map Index_engine.payload codebases))
 
 let vp_key ?(variant = Base) metric codebases =
   Sv_db.Metric_cache.key
     ~corpus_digest:(corpus_digest codebases)
     ~metric:(metric_label metric) ~variant:(variant_label variant) ()
 
-let warm_vp_trees metric variant codebases =
-  match metric with
-  | (TSrc | TSem | TSemI | TIr) when Div.ted_algo () = `Flat ->
-      Index_engine.warm_ted
-        (List.concat_map
-           (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
-           codebases)
-  | _ -> ()
-
 let vp_index ?(variant = Base) metric codebases =
   let arr = Array.of_list codebases in
   let build () =
-    warm_vp_trees metric variant codebases;
     let dist i j = fst (raw_divergence ~variant metric arr.(i) arr.(j)) in
     Sv_metric.Vptree.build ~dist (Array.init (Array.length arr) Fun.id)
   in

@@ -58,7 +58,10 @@ val ted_cache : unit -> Sv_db.Codebase_db.Ted_cache.cache option
 
 val clear_memo : unit -> unit
 (** Drop the in-process divergence memo — for benchmarks and tests that
-    must measure or observe cold recomputation. *)
+    must measure or observe cold recomputation. The memo is keyed by
+    metric, variant and both codebases' {!Index_engine.content_key}, so
+    it never answers for a different codebase that merely shares ids or
+    sizes. *)
 
 (** {2 Triangle-bounded evaluation}
 
@@ -101,7 +104,10 @@ val metric_cache : unit -> Sv_db.Metric_cache.cache option
 
 val vp_key : ?variant:variant -> metric -> Pipeline.indexed list -> string
 (** The metric-cache key {!vp_index} would use for this corpus — for
-    callers that memoise decoded indexes keyed the same way. *)
+    callers that memoise decoded indexes keyed the same way. Its corpus
+    digest is the MD5 of the msgpack array of the candidates' payloads,
+    hashed from the bytes each record already carries
+    ({!Index_engine.payload}) rather than re-encoded per call. *)
 
 val raw_divergence_bounded :
   ?variant:variant ->

@@ -170,14 +170,38 @@ module Ted_cache = struct
             journal forked workers ship back to the parent process *)
     mutable hits : int;
     mutable misses : int;
+    mutable clean : Cache_file.stamp option;
+        (** the file the contents were last read from or written to,
+            while nothing has been added since *)
   }
 
-  let create () = { tbl = Hashtbl.create 1024; additions = []; hits = 0; misses = 0 }
+  let create () =
+    { tbl = Hashtbl.create 1024; additions = []; hits = 0; misses = 0; clean = None }
 
   (* The digest ignores locations because Label.equal does: two trees
      that TED cannot tell apart must hash to the same key, or a
-     re-indexed corpus with shifted line numbers would never hit. *)
-  let digest t = Digest.string (M.encode (tree_to_msgpack (Label.strip_locs t)))
+     re-indexed corpus with shifted line numbers would never hit.
+     Computing it serialises the whole tree, and every lookup asks for
+     the digests of two trees that are almost always asked for again
+     (each matrix cell names a unit tree), so it is memoised per physical
+     tree: trees are immutable, and the ephemeron entry dies with the
+     tree. *)
+  module Digests = Ephemeron.K1.Make (struct
+    type t = Label.tree
+
+    let equal = ( == )
+    let hash = Tree.shallow_hash
+  end)
+
+  let digests = Digests.create 1024
+
+  let digest t =
+    match Digests.find_opt digests t with
+    | Some d -> d
+    | None ->
+        let d = Digest.string (M.encode (tree_to_msgpack (Label.strip_locs t))) in
+        Digests.replace digests t d;
+        d
 
   (* TED under unit costs is symmetric, so the key is the ordered pair. *)
   let key a b = if String.compare a b <= 0 then (a, b) else (b, a)
@@ -191,10 +215,13 @@ module Ted_cache = struct
         c.misses <- c.misses + 1;
         None
 
+  let mem c a b = Hashtbl.mem c.tbl (key a b)
+
   let add c a b d =
     let k = key a b in
     if not (Hashtbl.mem c.tbl k) then begin
       Hashtbl.replace c.tbl k d;
+      c.clean <- None;
       let ka, kb = k in
       c.additions <- (ka, kb, d) :: c.additions
     end
@@ -213,7 +240,10 @@ module Ted_cache = struct
       (fun (a, b, d) ->
         if valid_entry a b d then
           let k = key a b in
-          if not (Hashtbl.mem c.tbl k) then Hashtbl.replace c.tbl k d)
+          if not (Hashtbl.mem c.tbl k) then begin
+            Hashtbl.replace c.tbl k d;
+            c.clean <- None
+          end)
       entries
 
   let drain_additions c =
@@ -282,23 +312,20 @@ module Ted_cache = struct
         | v -> of_msgpack v)
 
   let save_file path c =
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (save c))
+    if not (Cache_file.unchanged c.clean path) then
+      c.clean <- Some (Cache_file.write path (save c))
 
   (* A missing or damaged cache file is not an error condition for the
      pipeline — it just means a cold start. *)
   let load_file path =
-    if not (Sys.file_exists path) then create ()
-    else
-      let ic = open_in_bin path in
-      let bytes =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match load bytes with Ok c -> c | Error _ -> create ()
+    match Cache_file.read path with
+    | None -> create ()
+    | Some (bytes, stamp) -> (
+        match load bytes with
+        | Ok c ->
+            c.clean <- Some stamp;
+            c
+        | Error _ -> create ())
 
   let stats c =
     Printf.sprintf "ted-cache: %d entries, %d hits / %d misses this run"

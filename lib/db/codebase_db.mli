@@ -45,7 +45,8 @@ val stats : t -> string
     Keys are the two trees' structural digests (MD5 of the msgpack tree
     encoding with locations stripped, matching {!Sv_tree.Label.equal}'s
     blindness to locations), ordered so the symmetric distance is stored
-    once. The on-disk format is an SVZ-compressed msgpack map
+    once. Digests are computed once per physical tree. The on-disk
+    format is an SVZ-compressed msgpack map
     [{schema; ted: \[\[digest₁; digest₂; d\]; ...\]}] with entries
     sorted by key, so identical contents serialise to identical bytes. *)
 module Ted_cache : sig
@@ -56,11 +57,18 @@ module Ted_cache : sig
 
   val digest : Sv_tree.Label.tree -> string
   (** Structural digest of a tree (16 raw MD5 bytes). Location-blind:
-      trees equal under {!Sv_tree.Label.equal} share a digest. *)
+      trees equal under {!Sv_tree.Label.equal} share a digest. Computed
+      once per physical tree and then memoised in a weak (ephemeron)
+      table, so repeated lookups with the same trees cost a probe, not a
+      serialisation; an entry dies with its tree. *)
 
   val find : cache -> string -> string -> int option
   (** [find c da db] looks up the distance for a digest pair, in either
       order, bumping the hit/miss counters. *)
+
+  val mem : cache -> string -> string -> bool
+  (** [mem c da db] tells whether {!find} would hit, without moving the
+      hit/miss counters — for planning work ahead of the lookups. *)
 
   val add : cache -> string -> string -> int -> unit
   (** Record a computed distance. New entries are also appended to the
@@ -90,9 +98,16 @@ module Ted_cache : sig
   (** Decode an artifact produced by {!save}. *)
 
   val save_file : string -> cache -> unit
+  (** [save_file path c] writes {!save}'s bytes to [path], unless [c]
+      was loaded from or last saved to [path], nothing has been added
+      since, and the file still has the size and modification time it
+      had then: such a save would rewrite the same bytes, so a warm
+      rerun leaves the file untouched. *)
+
   val load_file : string -> cache
   (** [load_file path] reads a cache file; a missing or corrupt file
-      yields an empty cache (a cold start, never an error). *)
+      yields an empty cache (a cold start, never an error), which the
+      next {!save_file} writes out whole. *)
 
   val stats : cache -> string
   (** One-line entry/hit/miss summary. *)

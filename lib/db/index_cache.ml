@@ -9,9 +9,12 @@ type cache = {
   tbl : (string, string) Hashtbl.t;  (* 16-byte key -> encoded payload *)
   mutable hits : int;
   mutable misses : int;
+  mutable clean : Cache_file.stamp option;
+      (* the file the contents were last read from or written to, while
+         nothing has been added since *)
 }
 
-let create () = { tbl = Hashtbl.create 64; hits = 0; misses = 0 }
+let create () = { tbl = Hashtbl.create 64; hits = 0; misses = 0; clean = None }
 
 (* The key commits to everything that can change an indexing result: the
    sources themselves (the caller's digest spans file names and contents),
@@ -41,8 +44,10 @@ let find c k =
 let valid_entry k payload = String.length k = 16 && String.length payload > 0
 
 let add c k payload =
-  if valid_entry k payload && not (Hashtbl.mem c.tbl k) then
-    Hashtbl.replace c.tbl k payload
+  if valid_entry k payload && not (Hashtbl.mem c.tbl k) then begin
+    Hashtbl.replace c.tbl k payload;
+    c.clean <- None
+  end
 
 (* Same defensive posture as [Ted_cache.merge]: entries may arrive from a
    faulted worker pipe or a twice-shipped degraded batch, so malformed
@@ -114,22 +119,19 @@ let load bytes =
       | v -> of_msgpack v)
 
 let save_file path c =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (save c))
+  if not (Cache_file.unchanged c.clean path) then
+    c.clean <- Some (Cache_file.write path (save c))
 
 (* A missing or damaged cache file just means a cold start. *)
 let load_file path =
-  if not (Sys.file_exists path) then create ()
-  else
-    let ic = open_in_bin path in
-    let bytes =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match load bytes with Ok c -> c | Error _ -> create ()
+  match Cache_file.read path with
+  | None -> create ()
+  | Some (bytes, stamp) -> (
+      match load bytes with
+      | Ok c ->
+          c.clean <- Some stamp;
+          c
+      | Error _ -> create ())
 
 let stats c =
   Printf.sprintf "index-cache: %d entries, %d hits / %d misses this run"

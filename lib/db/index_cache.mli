@@ -65,10 +65,15 @@ val load : string -> (cache, string) Result.t
     schema mismatches are [Error]s. *)
 
 val save_file : string -> cache -> unit
+(** [save_file path c] writes {!save}'s bytes to [path], unless [c] was
+    loaded from or last saved to [path], nothing has been added since,
+    and the file still has the size and modification time it had then:
+    a warm rerun that found every codebase leaves the file untouched. *)
 
 val load_file : string -> cache
 (** [load_file path] reads a cache file; a missing or corrupt file
-    yields an empty cache (a cold start, never an error). *)
+    yields an empty cache (a cold start, never an error), which the next
+    {!save_file} writes out whole. *)
 
 val stats : cache -> string
 (** One-line entry/hit/miss summary. *)

@@ -10,9 +10,12 @@ type cache = {
   tbl : (string, string) Hashtbl.t;  (* 16-byte key -> encoded repr *)
   mutable hits : int;
   mutable misses : int;
+  mutable clean : Cache_file.stamp option;
+      (* the file the contents were last read from or written to, while
+         nothing has been added since *)
 }
 
-let create () = { tbl = Hashtbl.create 16; hits = 0; misses = 0 }
+let create () = { tbl = Hashtbl.create 16; hits = 0; misses = 0; clean = None }
 
 (* The key commits to everything that can change the persisted tree: the
    corpus digest (which itself spans every codebase's indexed payload, in
@@ -82,21 +85,17 @@ let find c k =
       c.misses <- c.misses + 1;
       None
 
-let add c k t =
-  let payload = encode_tree t in
-  if valid_entry k payload && not (Hashtbl.mem c.tbl k) then
-    Hashtbl.replace c.tbl k payload
-
 (* Same defensive posture as [Index_cache.merge]: malformed entries are
    dropped and existing keys never overwritten, so merging twice is a
    no-op. Raw payloads (not trees) so merge never pays a decode. *)
-let merge c entries =
-  List.iter
-    (fun (k, payload) ->
-      if valid_entry k payload && not (Hashtbl.mem c.tbl k) then
-        Hashtbl.replace c.tbl k payload)
-    entries
+let insert c k payload =
+  if valid_entry k payload && not (Hashtbl.mem c.tbl k) then begin
+    Hashtbl.replace c.tbl k payload;
+    c.clean <- None
+  end
 
+let add c k t = insert c k (encode_tree t)
+let merge c entries = List.iter (fun (k, payload) -> insert c k payload) entries
 let size c = Hashtbl.length c.tbl
 let hits c = c.hits
 let misses c = c.misses
@@ -163,22 +162,19 @@ let load bytes =
       | v -> of_msgpack v)
 
 let save_file path c =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (save c))
+  if not (Cache_file.unchanged c.clean path) then
+    c.clean <- Some (Cache_file.write path (save c))
 
 (* A missing or damaged cache file just means a cold start. *)
 let load_file path =
-  if not (Sys.file_exists path) then create ()
-  else
-    let ic = open_in_bin path in
-    let bytes =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match load bytes with Ok c -> c | Error _ -> create ()
+  match Cache_file.read path with
+  | None -> create ()
+  | Some (bytes, stamp) -> (
+      match load bytes with
+      | Ok c ->
+          c.clean <- Some stamp;
+          c
+      | Error _ -> create ())
 
 let stats c =
   Printf.sprintf "metric-cache: %d entries, %d hits / %d misses this run"

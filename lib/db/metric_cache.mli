@@ -56,7 +56,13 @@ val save : cache -> string
 val load : string -> (cache, string) result
 
 val save_file : string -> cache -> unit
+(** [save_file path c] writes {!save}'s bytes to [path], unless [c] was
+    loaded from or last saved to [path], nothing has been added since,
+    and the file still has the size and modification time it had then:
+    a warm rerun leaves the file untouched. *)
+
 val load_file : string -> cache
-(** Missing or corrupt files yield an empty cache (cold start). *)
+(** Missing or corrupt files yield an empty cache (cold start), which
+    the next {!save_file} writes out whole. *)
 
 val stats : cache -> string

@@ -79,6 +79,11 @@ let rec encode_value b v =
 
 let encode_to b v = encode_value b v
 
+let array_header n =
+  let b = Buffer.create 5 in
+  encode_len b ~fix_tag:0x90 ~fix_max:15 ~tag8:(-1) ~tag16:0xDC ~tag32:0xDD n;
+  Buffer.contents b
+
 let encode v =
   let b = Buffer.create 256 in
   encode_value b v;

@@ -30,6 +30,13 @@ val encode_to : Buffer.t -> t -> unit
     frame several values into one buffer (the scheduler's pipe protocol,
     the Codebase DB writer) without intermediate strings. *)
 
+val array_header : int -> string
+(** [array_header n] is the length prefix {!encode} writes for an
+    [Arr] of [n] elements: [encode (Arr xs)] is [array_header
+    (List.length xs)] followed by each element's encoding. Callers that
+    already hold the element encodings frame (or digest) the array
+    without re-encoding them. *)
+
 val decode : string -> t
 (** [decode s] parses exactly one value occupying the whole string.
     Raises {!Decode_error} on malformed or trailing input. *)

@@ -1,5 +1,4 @@
 module J = Sv_jsonx.Jsonx
-module M = Sv_msgpack.Msgpack
 module T = Sv_perf.Telemetry
 module Pipeline = Sv_core.Pipeline
 module Tbmd = Sv_core.Tbmd
@@ -41,11 +40,6 @@ let default_config () =
     persist_every = 32;
   }
 
-(* A resident codebase keeps its cache payload next to the decoded form:
-   the payload is the byte size the LRU budgets, and the bytes the
-   eviction callback spills into the persistent index cache. *)
-type resident = { ix : Pipeline.indexed; payload : string }
-
 (* A resident VP-tree metric index: built (or reloaded) once per
    (filtered candidate corpus, metric, variant) and reused across
    nearest requests instead of being rebuilt per call. Keyed by
@@ -57,7 +51,7 @@ type vp_resident = { vp : Tbmd.vp; vp_bytes : int }
 
 type t = {
   cfg : config;
-  lru : resident Lru.t;
+  lru : Pipeline.indexed Lru.t;
   vp_lru : vp_resident Lru.t;
   index_cache : Index_cache.cache;
   ted_cache : Ted_cache.cache;
@@ -86,11 +80,16 @@ let create cfg =
     | Some path -> Metric_cache.load_file path
     | None -> Metric_cache.create ()
   in
+  (* A resident codebase is budgeted by its payload, the bytes
+     [Index_engine.payload] keeps with the record (the same string the
+     index cache holds for its key), so the budget counts the payload
+     held per record, and eviction spills it without re-encoding. *)
   let lru =
     Lru.create
-      ~on_evict:(fun key r -> Index_cache.add index_cache key r.payload)
+      ~on_evict:(fun key ix ->
+        Index_cache.add index_cache key (Index_engine.payload ix))
       ~budget:cfg.lru_budget
-      ~size_of:(fun r -> String.length r.payload)
+      ~size_of:(fun ix -> String.length (Index_engine.payload ix))
       ()
   in
   let vp_lru =
@@ -141,8 +140,6 @@ let with_installed t f =
 
 (* --- residency --- *)
 
-let encode_payload ix = M.encode (Index_engine.indexed_to_msgpack ix)
-
 (* Resolve a list of codebases against the LRU; misses go through the
    cache-aware engine (the resident index cache is installed, so a miss
    here may still be a persistent-cache hit) and become resident.
@@ -166,8 +163,7 @@ let obtain t cbs =
         in
         List.map2
           (fun (key, _) ix ->
-            let r = { ix; payload = encode_payload ix } in
-            Lru.add t.lru key r;
+            Lru.add t.lru key ix;
             (key, ix))
           missing ixs
   in
@@ -175,7 +171,7 @@ let obtain t cbs =
     List.map
       (fun (key, _, hit) ->
         match hit with
-        | Some r -> r.ix
+        | Some ix -> ix
         | None -> List.assoc key fresh)
       probed
   in

@@ -113,11 +113,32 @@ let stats t =
 (* Canonical int-labelled view: equal subtrees (under the table's label
    equality) map to the *same physical* [int Tree.t], so downstream
    consumers — notably [Ted.distance_int]'s equal-subtree fast path —
-   recognise shared structure with a pointer compare. *)
-type 'a canonizer = { table : 'a t; memo : (int, int Tree.t) Hashtbl.t }
+   recognise shared structure with a pointer compare. Interning walks and
+   hashes the whole tree, yet callers ask for the same physical root again
+   and again (every matrix cell names a unit tree), so the answer is also
+   memoised per physical root in an ephemeron table: a repeat costs one
+   probe, and a dropped tree takes its entry with it. *)
+type 'a canonizer = {
+  table : 'a t;
+  memo : (int, int Tree.t) Hashtbl.t;
+  root_find : 'a Tree.t -> (int * int Tree.t) option;
+  root_add : 'a Tree.t -> int * int Tree.t -> unit;
+}
 
-let canonizer ?init ~hash ~equal () =
-  { table = create ?init ~hash ~equal (); memo = Hashtbl.create 4096 }
+let canonizer (type a) ?init ~hash ~equal () : a canonizer =
+  let module Roots = Ephemeron.K1.Make (struct
+    type t = a Tree.t
+
+    let equal = ( == )
+    let hash = Tree.shallow_hash
+  end) in
+  let roots = Roots.create 256 in
+  {
+    table = create ?init ~hash ~equal ();
+    memo = Hashtbl.create 4096;
+    root_find = Roots.find_opt roots;
+    root_add = Roots.replace roots;
+  }
 
 let rec canon_node c n =
   match Hashtbl.find_opt c.memo n.id with
@@ -127,10 +148,14 @@ let rec canon_node c n =
       Hashtbl.add c.memo n.id t;
       t
 
-let canon c tree = canon_node c (intern c.table tree)
-
 let canon_id c tree =
-  let n = intern c.table tree in
-  (n.id, canon_node c n)
+  match c.root_find tree with
+  | Some r -> r
+  | None ->
+      let n = intern c.table tree in
+      let r = (n.id, canon_node c n) in
+      c.root_add tree r;
+      r
 
+let canon c tree = snd (canon_id c tree)
 let canonizer_stats c = stats c.table

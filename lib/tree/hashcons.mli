@@ -92,6 +92,11 @@ val canon_id : 'a canonizer -> 'a Tree.t -> int * int Tree.t
 (** [canon_id c tree] is [canon c tree] paired with the interned root's
     {!id} — a stable dense key for caches of per-tree derived artifacts
     (the metric layer memoises compiled {!Flat.t} kernels by it). Equal
-    trees return equal ids. *)
+    trees return equal ids. The answer is memoised per physical [tree]
+    in a weak (ephemeron) table, so asking again for the same root costs
+    one probe and no intern call; the entry dies with the tree. *)
 
 val canonizer_stats : 'a canonizer -> stats
+(** The intern table's {!stats}. They count intern work only: a
+    {!canon_id} answered from the per-root memo interns nothing and
+    moves no counter. *)

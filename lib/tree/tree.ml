@@ -7,6 +7,10 @@ let children (Node (_, cs)) = cs
 
 let rec size (Node (_, cs)) = List.fold_left (fun acc c -> acc + size c) 1 cs
 
+(* Bounded breadth-first walk of the contents: enough of the labels of
+   the top levels to tell trees apart, never the whole tree. *)
+let shallow_hash t = Hashtbl.hash_param 32 256 t
+
 let rec depth (Node (_, cs)) =
   1 + List.fold_left (fun acc c -> max acc (depth c)) 0 cs
 

@@ -24,6 +24,12 @@ val size : 'a t -> int
 (** [size t] is the total number of nodes; this is the |T| of Eq. (7),
     used for the maximum-divergence bound [dmax]. *)
 
+val shallow_hash : 'a t -> int
+(** [shallow_hash t] hashes a bounded prefix of [t]'s contents in
+    constant time. It depends only on contents (never on addresses), so
+    it stays valid while the collector moves [t]: the hash for weak
+    tables that memoise per physical tree, with [( == )] as equality. *)
+
 val depth : 'a t -> int
 (** [depth t] is the number of nodes on the longest root-to-leaf path
     (a leaf has depth 1). *)

@@ -391,6 +391,142 @@ let test_engine_corrupt_payload_recomputes () =
       checkb "recomputed identically" true
         (ix_fingerprint (Index_engine.index ~jobs:1 cb) = ix_fingerprint reference))
 
+(* --- content keys: computed once per value, equal to the formulas --- *)
+
+module M = Sv_msgpack.Msgpack
+module Ted_cache = Sv_db.Codebase_db.Ted_cache
+
+(* The one-line formulas the keys used to be recomputed with on every
+   lookup; the memoised keys must equal them, so existing cache files
+   keep hitting. *)
+let digest_oracle t =
+  Digest.string (M.encode (Sv_db.Codebase_db.tree_to_msgpack (Label.strip_locs t)))
+
+let vp_key_oracle ~variant metric ixs =
+  Sv_db.Metric_cache.key
+    ~corpus_digest:
+      (Digest.string (M.encode (M.Arr (List.map Index_engine.indexed_to_msgpack ixs))))
+    ~metric:(Tbmd.metric_label metric) ~variant:(Tbmd.variant_label variant) ()
+
+let unit_trees (ix : Pipeline.indexed) =
+  List.concat_map
+    (fun (u : Pipeline.unit_info) ->
+      [ u.u_t_src; u.u_t_src_pp; u.u_t_sem; u.u_t_sem_i; u.u_t_ir;
+        Pipeline.unit_tree ~metric:`TSem ~coverage:true ix u ])
+    ix.ix_units
+
+let check_keys name ixs =
+  List.iter
+    (fun t ->
+      (* twice: the computed and the memoised answer *)
+      checkb (name ^ ": tree digest") true (Ted_cache.digest t = digest_oracle t);
+      checkb (name ^ ": memoised tree digest") true (Ted_cache.digest t = digest_oracle t))
+    (List.concat_map unit_trees ixs);
+  List.iter
+    (fun (variant, metric, ixs) ->
+      checkb (name ^ ": vp_key " ^ Tbmd.metric_label metric) true
+        (Tbmd.vp_key ~variant metric ixs = vp_key_oracle ~variant metric ixs))
+    [ (Tbmd.Base, Tbmd.TSem, ixs); (Tbmd.Cov, Tbmd.TIr, ixs);
+      (Tbmd.Base, Tbmd.SLOC, List.tl ixs); (Tbmd.Base, Tbmd.TSem, []) ];
+  List.iter
+    (fun (ix : Pipeline.indexed) ->
+      checkb (name ^ ": payload") true
+        (Index_engine.payload ix = M.encode (Index_engine.indexed_to_msgpack ix)))
+    ixs
+
+let check_engine_keys name cbs ixs =
+  List.iter2
+    (fun cb ix ->
+      checkb (name ^ ": content key is the codebase key") true
+        (Index_engine.content_key ix = Index_engine.codebase_key ~run:true cb))
+    cbs ixs
+
+let test_keys_cold () =
+  let cbs = engine_corpus () in
+  let ixs = Index_engine.index_many ~jobs:1 cbs in
+  check_keys "cold" ixs;
+  check_engine_keys "cold" cbs ixs;
+  (* records indexed outside the engine are named by their payload *)
+  let plain = List.map Pipeline.index cbs in
+  check_keys "plain" plain;
+  List.iter
+    (fun ix ->
+      checkb "plain: content key is the payload digest" true
+        (Index_engine.content_key ix
+        = Digest.string (M.encode (Index_engine.indexed_to_msgpack ix))))
+    plain
+
+let test_keys_cache_decoded () =
+  let cbs = engine_corpus () in
+  let cache = Index_cache.create () in
+  with_cache (Some cache) (fun () ->
+      let cold = Index_engine.index_many ~jobs:1 cbs in
+      check_keys "cold, cached" cold;
+      check_engine_keys "cold, cached" cbs cold;
+      let warm = Index_engine.index_many ~jobs:1 cbs in
+      checki "served from the cache" (List.length cbs) (Index_cache.hits cache);
+      check_keys "decoded" warm;
+      check_engine_keys "decoded" cbs warm);
+  let reloaded = Result.get_ok (Index_cache.load (Index_cache.save cache)) in
+  with_cache (Some reloaded) (fun () ->
+      let ixs = Index_engine.index_many ~jobs:1 cbs in
+      check_keys "decoded from disk" ixs;
+      check_engine_keys "decoded from disk" cbs ixs)
+
+let test_keys_from_workers () =
+  let cbs = engine_corpus () in
+  (* chunk:1 with jobs:2 ships every record through a worker pipe *)
+  let shipped = Index_engine.index_many ~jobs:2 ~chunk:1 cbs in
+  check_keys "shipped" shipped;
+  check_engine_keys "shipped" cbs shipped;
+  with_cache (Some (Index_cache.create ())) (fun () ->
+      let ixs = Index_engine.index_many ~jobs:2 ~chunk:1 cbs in
+      check_keys "shipped, cached" ixs;
+      check_engine_keys "shipped, cached" cbs ixs)
+
+let test_keys_equal_trees () =
+  (* physically distinct but equal trees share the digest *)
+  let ix = Index_engine.index ~jobs:1 (List.hd (Sv_corpus.Babelstream.all ())) in
+  List.iter
+    (fun t ->
+      let copy =
+        Result.get_ok
+          (Sv_db.Codebase_db.tree_of_msgpack (Sv_db.Codebase_db.tree_to_msgpack t))
+      in
+      checkb "a distinct copy" true (copy != t);
+      checkb "copy digest" true (Ted_cache.digest copy = digest_oracle copy);
+      checkb "shared digest" true (Ted_cache.digest copy = Ted_cache.digest t))
+    (unit_trees ix)
+
+(* Fill every per-record and per-tree memo for one record and leave it
+   resident in [lru] only. *)
+let[@inline never] make_resident lru key cb (w, wt) =
+  let ix = Index_engine.index ~jobs:1 cb in
+  Tbmd.set_ted_cache (Some (Ted_cache.create ()));
+  Fun.protect
+    ~finally:(fun () -> Tbmd.set_ted_cache None)
+    (fun () ->
+      ignore (Tbmd.vp_key Tbmd.TSem [ ix ]);
+      ignore (Tbmd.raw_divergence Tbmd.TSem ix ix);
+      ignore (Tbmd.raw_divergence ~variant:Tbmd.Cov Tbmd.TIr ix ix));
+  Weak.set w 0 (Some ix);
+  Weak.set wt 0 (Some (List.hd ix.Pipeline.ix_units).Pipeline.u_t_sem);
+  Sv_db.Lru.add lru key ix
+
+let test_memo_entries_weak () =
+  let cbs = Sv_corpus.Babelstream.all () in
+  let lru = Sv_db.Lru.create ~budget:1 ~size_of:(fun _ -> 1) () in
+  let w = Weak.create 1 and wt = Weak.create 1 in
+  make_resident lru "a" (List.nth cbs 0) (w, wt);
+  Gc.full_major ();
+  checkb "a resident record stays" true (Weak.check w 0);
+  make_resident lru "b" (List.nth cbs 1) (Weak.create 1, Weak.create 1);
+  checkb "evicted" false (Sv_db.Lru.mem lru "a");
+  Gc.full_major ();
+  Gc.full_major ();
+  checkb "the memos do not keep an evicted record alive" false (Weak.check w 0);
+  checkb "nor its trees" false (Weak.check wt 0)
+
 (* --- dendrogram integration --- *)
 
 let test_dendrogram_runs () =
@@ -496,6 +632,17 @@ let () =
           Alcotest.test_case "key invalidation" `Quick test_engine_key_invalidation;
           Alcotest.test_case "corrupt payload recomputes" `Quick
             test_engine_corrupt_payload_recomputes;
+        ] );
+      ( "content-keys",
+        [
+          Alcotest.test_case "cold records match the formulas" `Quick test_keys_cold;
+          Alcotest.test_case "cache-decoded records match" `Quick
+            test_keys_cache_decoded;
+          Alcotest.test_case "worker-shipped records match" `Quick
+            test_keys_from_workers;
+          Alcotest.test_case "equal trees share a digest" `Quick
+            test_keys_equal_trees;
+          Alcotest.test_case "memos are weak" `Quick test_memo_entries_weak;
         ] );
       ( "integration",
         [

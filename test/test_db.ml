@@ -412,6 +412,141 @@ let test_metric_cache_load_file_missing () =
   let c = Mc.load_file path in
   checki "corrupt file is a cold start" 0 (Mc.size c)
 
+(* --- skip-clean saves (all three caches) --- *)
+
+(* One cache kind, driven through its file API: [seed path] writes a
+   one-entry cache file; [reload ~add src dst] loads [src], adds a new
+   entry when [add], runs [between], and saves to [dst]; [size path]
+   loads and counts. *)
+type kit = {
+  kind : string;
+  seed : string -> unit;
+  reload : ?between:(unit -> unit) -> add:bool -> string -> string -> unit;
+  size : string -> int;
+}
+
+let kits =
+  let ka = String.make 16 'a' and kb = String.make 16 'b' in
+  let nothing () = () in
+  [
+    {
+      kind = "ted-cache";
+      seed =
+        (fun path ->
+          let c = Tc.create () in
+          Tc.add c ka kb 3;
+          Tc.save_file path c);
+      reload =
+        (fun ?(between = nothing) ~add src dst ->
+          let c = Tc.load_file src in
+          if add then Tc.add c kb kb 0;
+          between ();
+          Tc.save_file dst c);
+      size = (fun path -> Tc.size (Tc.load_file path));
+    };
+    {
+      kind = "index-cache";
+      seed =
+        (fun path ->
+          let c = Ic.create () in
+          Ic.add c ka "payload-a";
+          Ic.save_file path c);
+      reload =
+        (fun ?(between = nothing) ~add src dst ->
+          let c = Ic.load_file src in
+          if add then Ic.add c kb "payload-b";
+          between ();
+          Ic.save_file dst c);
+      size = (fun path -> Ic.size (Ic.load_file path));
+    };
+    {
+      kind = "metric-cache";
+      seed =
+        (fun path ->
+          let c = Mc.create () in
+          Mc.add c (mc_key ()) (snd (mc_tree 8));
+          Mc.save_file path c);
+      reload =
+        (fun ?(between = nothing) ~add src dst ->
+          let c = Mc.load_file src in
+          if add then Mc.add c (mc_key ~metric:"T_src" ()) (snd (mc_tree 9));
+          between ();
+          Mc.save_file dst c);
+      size = (fun path -> Mc.size (Mc.load_file path));
+    };
+  ]
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+let write_bytes path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+let mtime path = (Unix.stat path).Unix.st_mtime
+
+(* Back-date a file, so that any rewrite, however quick, shows in its
+   modification time. *)
+let old_time = 1_000_000.
+let backdate path = Unix.utimes path old_time old_time
+
+let each_kit f =
+  List.iter
+    (fun k ->
+      let a = Filename.temp_file "sv_clean" ".svz" in
+      let b = Filename.temp_file "sv_clean" ".svz" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ a; b ])
+        (fun () -> f k a b))
+    kits
+
+let test_clean_save_untouched () =
+  each_kit @@ fun k path _ ->
+  k.seed path;
+  backdate path;
+  let before = read_bytes path in
+  k.reload ~add:false path path;
+  checks (k.kind ^ ": bytes unchanged") before (read_bytes path);
+  checkb (k.kind ^ ": not rewritten (mtime kept)") true (mtime path = old_time)
+
+let test_clean_save_after_add () =
+  each_kit @@ fun k path _ ->
+  k.seed path;
+  backdate path;
+  k.reload ~add:true path path;
+  checkb (k.kind ^ ": rewritten") true (mtime path <> old_time);
+  checki (k.kind ^ ": the addition persisted") 2 (k.size path)
+
+let test_clean_save_other_path () =
+  each_kit @@ fun k path other ->
+  k.seed path;
+  write_bytes other "stale";
+  k.reload ~add:false path other;
+  checks (k.kind ^ ": written to the other path") (read_bytes path)
+    (read_bytes other)
+
+let test_clean_save_deleted () =
+  each_kit @@ fun k path _ ->
+  k.seed path;
+  let before = read_bytes path in
+  k.reload ~between:(fun () -> Sys.remove path) ~add:false path path;
+  checkb (k.kind ^ ": written again") true (Sys.file_exists path);
+  checks (k.kind ^ ": same contents") before (read_bytes path)
+
+let test_clean_save_torn () =
+  each_kit @@ fun k path _ ->
+  k.seed path;
+  let whole = read_bytes path in
+  List.iter
+    (fun damaged ->
+      write_bytes path damaged;
+      backdate path;
+      checki (k.kind ^ ": damaged file loads empty") 0 (k.size path);
+      k.reload ~add:false path path;
+      checkb (k.kind ^ ": rewritten") true (mtime path <> old_time);
+      checkb (k.kind ^ ": now a sound empty cache") true
+        (read_bytes path <> damaged && k.size path = 0))
+    [
+      String.sub whole 0 (String.length whole / 2);
+      "definitely not an svz artifact";
+    ]
+
 let test_db_pipeline_integration () =
   (* a real indexed codebase survives the save/load cycle *)
   let cb =
@@ -572,6 +707,19 @@ let () =
             test_metric_cache_corrupt_payload;
           Alcotest.test_case "missing/corrupt file is cold start" `Quick
             test_metric_cache_load_file_missing;
+        ] );
+      ( "clean-save",
+        [
+          Alcotest.test_case "unchanged cache leaves the file" `Quick
+            test_clean_save_untouched;
+          Alcotest.test_case "an addition rewrites" `Quick
+            test_clean_save_after_add;
+          Alcotest.test_case "another path is written" `Quick
+            test_clean_save_other_path;
+          Alcotest.test_case "a deleted file is written" `Quick
+            test_clean_save_deleted;
+          Alcotest.test_case "a torn or corrupt file is rewritten" `Quick
+            test_clean_save_torn;
         ] );
       ( "lru",
         [

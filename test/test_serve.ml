@@ -351,6 +351,42 @@ let test_eviction_reload_identity () =
         (int_field fields "index_hits" > 0)
   | _ -> Alcotest.fail "expected a status reply"
 
+(* Generated corpora reuse model ids across seeds ([m0031-kokkos] exists
+   for every seed), and mutants keep their tree sizes: a resident engine
+   asked about seed 1 and then seed 4 must answer seed 4 with seed 4's
+   numbers, exactly as the one-shot CLI does. *)
+let test_cross_spec_compare () =
+  let e = engine () in
+  let spec seed = Printf.sprintf "gen:mutate:babelstream:%d:40" seed in
+  let req seed = P.Compare { app = spec seed; base = "m0031-kokkos"; target = "m0032-hip" } in
+  let one_shot seed =
+    let app = spec seed in
+    let cbs = Option.get (Apps.corpus_of_app app) in
+    let ix model = Pipeline.index (Option.get (Apps.find_codebase ~app cbs model)) in
+    Engine.render_compare ~app ~base:"m0031-kokkos" ~target:"m0032-hip"
+      (ix "m0031-kokkos") (ix "m0032-hip")
+  in
+  let _, out1 = output_reply e ~id:1 (req 1) in
+  let _, out4 = output_reply e ~id:2 (req 4) in
+  checks "seed 1 matches the one-shot render" (one_shot 1) out1;
+  checks "seed 4 matches the one-shot render" (one_shot 4) out4;
+  List.iter
+    (fun row -> checkb ("seed 4 row " ^ row) true (contains ~sub:row out4))
+    [ "Source  │ 164 │"; "T_sem   │ 566 │"; "T_ir    │ 602 │" ]
+
+(* The LRU budgets each resident codebase by its payload bytes, the very
+   bytes the engine keeps with the record. *)
+let test_lru_counts_payload () =
+  let e = engine () in
+  let _ = output_reply e (P.Index { app = "babelstream"; model = "omp" }) in
+  let ix = Pipeline.index (babel_codebase "omp") in
+  match reply e (P.encode_request P.Status) with
+  | _, P.Status_of fields ->
+      checki "lru_bytes is the payload size"
+        (String.length (Sv_core.Index_engine.payload ix))
+        (int_field fields "lru_bytes")
+  | _ -> Alcotest.fail "expected a status reply"
+
 (* --- nearest: validation, resident index memo, persisted metric cache --- *)
 
 let nearest_spec = "gen:grow:serial,omp:7:12"
@@ -813,6 +849,10 @@ let () =
           Alcotest.test_case "index golden" `Quick test_conformance_index;
           Alcotest.test_case "eviction + reload identity" `Quick
             test_eviction_reload_identity;
+          Alcotest.test_case "cross-spec compare is not stale" `Quick
+            test_cross_spec_compare;
+          Alcotest.test_case "lru counts payload bytes" `Quick
+            test_lru_counts_payload;
           Alcotest.test_case "invalid-request taxonomy" `Quick
             test_invalid_request;
           Alcotest.test_case "nearest memo + approximate ledger" `Quick
