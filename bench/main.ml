@@ -555,14 +555,15 @@ let index_engine () =
     exit 1
   end
 
-(* The PR 5 tentpole: the flat-array TED kernel against the pointer-tree
-   Zhang–Shasha reference. One full T_sem matrix per kernel (the in-process
-   memo dropped in between, algorithms alternated through the public
-   switch), rendered to text and compared byte-for-byte — a mismatch exits
-   nonzero, which makes this part of the @bench-smoke contract. A
-   single-pair microbenchmark isolates the kernels from indexing noise,
-   and a bounded sweep exercises the pruning cascade; both the timings and
-   the prune counters land in the JSON report. *)
+(* The flat-array TED kernel against the pointer-tree Zhang–Shasha
+   reference. The full T_sem matrix through [Tbmd.matrix] (the in-process
+   memo dropped first) and the same matrix summed from [Ted.distance] over
+   positionally matched units are rendered to text and compared
+   byte-for-byte — a mismatch exits nonzero, which makes this part of the
+   @bench-smoke contract. A single-pair microbenchmark isolates the
+   kernels from indexing noise, and a bounded sweep exercises the pruning
+   cascade; both the timings and the prune counters land in the JSON
+   report. *)
 let ted_core () =
   section "TED core: flat kernel vs Zhang\xe2\x80\x93Shasha (BabelStream, T_sem)";
   let module T = Sv_perf.Telemetry in
@@ -582,25 +583,49 @@ let ted_core () =
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
   in
-  let run algo () =
-    Div.set_ted_algo algo;
+  let zs a b = Sv_tree.Ted.distance ~eq:Sv_tree.Label.equal a b in
+  let run_flat () =
     Tbmd.clear_memo ();
-    Fun.protect
-      ~finally:(fun () -> Div.set_ted_algo `Flat)
-      (fun () -> Tbmd.matrix Tbmd.TSem ixs)
+    Tbmd.matrix Tbmd.TSem ixs
+  in
+  (* the reference: positional unit pairs, unmatched tails at full size,
+     normalised by the target's T_sem size *)
+  let run_zs () =
+    let arr = Array.of_list ixs in
+    let size (u : Pipeline.unit_info) = Sv_tree.Tree.size u.u_t_sem in
+    let rec raw d us1 us2 =
+      match (us1, us2) with
+      | (u1 : Pipeline.unit_info) :: r1, (u2 : Pipeline.unit_info) :: r2 ->
+          raw (d + zs u1.u_t_sem u2.u_t_sem) r1 r2
+      | u :: r, [] | [], u :: r -> raw (d + size u) r []
+      | [], [] -> d
+    in
+    let n = Array.length arr in
+    let d = Array.make_matrix n n 0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        d.(i).(j) <- raw 0 arr.(i).ix_units arr.(j).ix_units;
+        d.(j).(i) <- d.(i).(j)
+      done
+    done;
+    let dmax =
+      Array.map (fun c -> List.fold_left (fun acc u -> acc + size u) 0 c.Pipeline.ix_units) arr
+    in
+    Cluster.of_fn
+      (Array.map (fun c -> c.Pipeline.ix_model_name) arr)
+      (fun i j -> if i = j then 0.0 else Div.normalised ~d:d.(i).(j) ~dmax:dmax.(j))
   in
   (* one untimed warm-up so indexing, canonisation and flat compilation
      never pollute either timed run *)
-  let (_ : Cluster.matrix) = run `Zs () in
-  let (_ : Cluster.matrix) = run `Flat () in
-  let zs_m, t_zs = wall (run `Zs) in
+  let (_ : Cluster.matrix) = run_flat () in
+  let zs_m, t_zs = wall run_zs in
   T.reset_ted ();
-  let flat_m, t_flat = wall (run `Flat) in
+  let flat_m, t_flat = wall run_flat in
   let mtx = T.ted_snapshot () in
   let n = Array.length zs_m.Cluster.labels in
   let matrix_speedup = t_zs /. Float.max 1e-9 t_flat in
   let matrix_identical = render zs_m = render flat_m in
-  Printf.printf "  %-28s %9.3fs  (%d models, %d pairs)\n" "matrix, zs kernel"
+  Printf.printf "  %-28s %9.3fs  (%d models, %d pairs)\n" "matrix, zs reference"
     t_zs n
     (n * (n - 1) / 2);
   Printf.printf "  %-28s %9.3fs  (%.2fx)\n" "matrix, flat kernel" t_flat
@@ -615,30 +640,24 @@ let ted_core () =
   let u2 =
     (List.hd (List.nth ixs 1).Pipeline.ix_units).Pipeline.u_t_sem
   in
-  let time_pair algo =
-    Div.set_ted_algo algo;
-    Fun.protect
-      ~finally:(fun () -> Div.set_ted_algo `Flat)
-      (fun () ->
-        let d = Div.tree_distance u1 u2 in
-        let t0 = Unix.gettimeofday () in
-        let once = Div.tree_distance u1 u2 in
-        let t_once = Unix.gettimeofday () -. t0 in
-        assert (once = d);
-        let reps =
-          max 5 (min 500 (int_of_float (0.3 /. Float.max 1e-6 t_once)))
-        in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (Div.tree_distance u1 u2)
-        done;
-        (d, (Unix.gettimeofday () -. t0) /. float_of_int reps, reps))
+  let time_pair dist =
+    let d = dist u1 u2 in
+    let t0 = Unix.gettimeofday () in
+    let once = dist u1 u2 in
+    let t_once = Unix.gettimeofday () -. t0 in
+    assert (once = d);
+    let reps = max 5 (min 500 (int_of_float (0.3 /. Float.max 1e-6 t_once))) in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (dist u1 u2)
+    done;
+    (d, (Unix.gettimeofday () -. t0) /. float_of_int reps, reps)
   in
-  let d_zs, pair_zs_s, reps_zs = time_pair `Zs in
-  let d_flat, pair_flat_s, reps_flat = time_pair `Flat in
+  let d_zs, pair_zs_s, reps_zs = time_pair zs in
+  let d_flat, pair_flat_s, reps_flat = time_pair Div.tree_distance in
   let pair_speedup = pair_zs_s /. Float.max 1e-9 pair_flat_s in
   let pair_identical = d_zs = d_flat in
-  Printf.printf "  %-28s %9.0fns  (d=%d, %d reps)\n" "pair, zs kernel"
+  Printf.printf "  %-28s %9.0fns  (d=%d, %d reps)\n" "pair, zs reference"
     (pair_zs_s *. 1e9) d_zs reps_zs;
   Printf.printf "  %-28s %9.0fns  (%.2fx, %d reps)\n" "pair, flat kernel"
     (pair_flat_s *. 1e9) pair_speedup reps_flat;
@@ -1341,16 +1360,9 @@ let corpus_study () =
     exit 1
   end
 
-(* The PR 9 tentpole: metric-space acceleration over a generated corpus.
-   For each corpus size in the grid, the full T_sem dendrogram is
-   computed twice — exhaustively, then under the triangle-bounded pivot
-   scheduler — and the two must agree to the last byte (matrix floats
-   and dendrogram structure; a mismatch exits nonzero). The scheduler's
-   ledger (pivot rows computed by exact DP, pairs resolved by the
-   triangle bracket or the normalisation clamp, pairs that ran the
-   bounded kernel) and the TED telemetry split land in the JSON report;
-   the exact-DP fraction must fall as the corpus grows (pivot rows are
-   ~2k/(n-1) of all pairs at k ~ sqrt n). A VP-tree k-NN sweep then
+(* Metric-space indexing over a generated corpus. For each corpus size
+   in the grid, the full T_sem dendrogram is computed exhaustively (its
+   time and DP count land in the JSON report). A VP-tree k-NN sweep then
    answers every variant's 5-nearest query through the index and checks
    the ranking against brute force, counting bounded evaluations per
    query. Sampled triples check the integer-TED triangle inequality (the
@@ -1365,8 +1377,7 @@ let metric_study () =
   let module Gen = Sv_gen.Gen in
   let module Prng = Sv_util.Prng in
   let module T = Sv_perf.Telemetry in
-  let module P = Sv_metric.Pivots in
-  section "Metric study: triangle-bounded matrices and VP-tree k-NN";
+  section "Metric study: exhaustive matrices and VP-tree k-NN";
   let grid =
     match Sys.getenv_opt "SV_METRIC_GRID" with
     | Some s ->
@@ -1378,15 +1389,6 @@ let metric_study () =
     let t0 = Unix.gettimeofday () in
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
-  in
-  let render (m : Cluster.matrix) =
-    String.concat "\n"
-      (Array.to_list
-         (Array.map
-            (fun row ->
-              String.concat " "
-                (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
-            m.Cluster.data))
   in
   let mismatch = ref false in
   let rows =
@@ -1414,36 +1416,8 @@ let metric_study () =
         (* exhaustive dendrogram *)
         Tbmd.clear_memo ();
         T.reset_ted ();
-        let (ex_m, ex_d), t_exhaustive =
-          wall (fun () -> Tbmd.dendrogram Tbmd.TSem ixs)
-        in
+        let _, t_exhaustive = wall (fun () -> Tbmd.dendrogram Tbmd.TSem ixs) in
         let dp_exhaustive = (T.ted_snapshot ()).T.dp_runs in
-        (* pivot-scheduled dendrogram, identical by construction *)
-        Tbmd.clear_memo ();
-        T.reset_ted ();
-        Tbmd.set_pivots Tbmd.Pivots_auto;
-        let (pv_m, pv_d), t_pivoted =
-          Fun.protect
-            ~finally:(fun () -> Tbmd.set_pivots Tbmd.Pivots_off)
-            (fun () -> wall (fun () -> Tbmd.dendrogram Tbmd.TSem ixs))
-        in
-        let tel = T.ted_snapshot () in
-        let stats =
-          match Tbmd.pivot_stats () with
-          | Some s -> s
-          | None -> failwith "metric-study: pivot scheduler did not run"
-        in
-        let identical =
-          render ex_m = render pv_m && Cluster.equal ex_d pv_d
-        in
-        if not identical then begin
-          mismatch := true;
-          Printf.eprintf
-            "[bench] metric-study: pivoted dendrogram differs at n=%d\n%!" n
-        end;
-        let exact_frac =
-          float_of_int stats.P.pivot_pairs /. float_of_int (max 1 stats.P.pairs)
-        in
         (* VP-tree k-NN: every variant's 5-nearest, checked against brute
            force over the (memo-warm) distances *)
         let arr = Array.of_list ixs in
@@ -1479,6 +1453,7 @@ let metric_study () =
              n=%d\n%!"
             n
         end;
+        let tel = T.ted_snapshot () in
         let avg_evals = float_of_int !evals_total /. float_of_int n in
         (* the integer TED the index relies on must be a true metric *)
         let rng = Prng.create (spec.Gen.seed lxor 0x913) in
@@ -1501,14 +1476,8 @@ let metric_study () =
              n=%d\n%!"
             !tri_violations n
         end;
-        Printf.printf
-          "  n=%-4d exhaustive %6.1fs (%d DP)  pivoted %6.1fs (%d DP, %d \
-           pivots, %.1f%% exact, %d interval, %d clamp, %d bounded)  %s\n"
-          n t_exhaustive dp_exhaustive t_pivoted tel.T.dp_runs
-          (Array.length stats.P.pivots)
-          (100.0 *. exact_frac) stats.P.resolved_interval
-          stats.P.resolved_clamp stats.P.bounded_pairs
-          (if identical then "identical" else "MISMATCH");
+        Printf.printf "  n=%-4d exhaustive %6.1fs (%d DP)\n" n t_exhaustive
+          dp_exhaustive;
         Printf.printf
           "         k-NN k=%d: %.1f evals/query (brute %d), ranking %s; \
            triangle %d/%d violations\n"
@@ -1523,27 +1492,15 @@ let metric_study () =
           | `Codebase -> "codebase"
           | `Unit -> "unit");
         ( n,
-          exact_frac,
           J.Obj
             [
               ("n", J.Int n);
               ("exhaustive_s", J.Float t_exhaustive);
               ("exhaustive_dp_runs", J.Int dp_exhaustive);
-              ("pivoted_s", J.Float t_pivoted);
-              ("pivoted_dp_runs", J.Int tel.T.dp_runs);
-              ("pivots", J.Int (Array.length stats.P.pivots));
-              ("pairs", J.Int stats.P.pairs);
-              ("pivot_pairs", J.Int stats.P.pivot_pairs);
-              ("exact_dp_fraction", J.Float exact_frac);
-              ("resolved_interval", J.Int stats.P.resolved_interval);
-              ("resolved_clamp", J.Int stats.P.resolved_clamp);
-              ("bounded_pairs", J.Int stats.P.bounded_pairs);
-              ("triangle_resolved", J.Int tel.T.tri_resolved);
-              ("branch_prunes", J.Int tel.T.pq_prunes);
-              ("pqgram_prunes", J.Int tel.T.pqg_prunes);
+              ("pairs", J.Int (n * (n - 1) / 2));
+              ("size_prunes", J.Int tel.T.size_prunes);
               ("hist_prunes", J.Int tel.T.hist_prunes);
               ("cutoff_abandons", J.Int tel.T.cutoff_abandons);
-              ("identical", J.Bool identical);
               ("knn_k", J.Int k);
               ("knn_avg_evals_per_query", J.Float avg_evals);
               ("knn_brute_evals_per_query", J.Int n);
@@ -1562,24 +1519,11 @@ let metric_study () =
             ] ))
       grid
   in
-  (* the headline claim: the exact-DP fraction falls as the corpus grows *)
-  let fracs = List.map (fun (_, f, _) -> f) rows in
-  let falling =
-    let rec go = function
-      | a :: (b :: _ as rest) -> a > b && go rest
-      | _ -> true
-    in
-    go fracs
-  in
-  Printf.printf "  exact-DP fraction across grid: %s (%s)\n"
-    (String.concat " -> " (List.map (Printf.sprintf "%.3f") fracs))
-    (if falling then "falling" else "NOT FALLING");
   record "metric-study"
     (J.Obj
        [
-         ("grid", J.List (List.map (fun (n, _, _) -> J.Int n) rows));
-         ("results", J.List (List.map (fun (_, _, o) -> o) rows));
-         ("exact_dp_fraction_falling", J.Bool falling);
+         ("grid", J.List (List.map (fun (n, _) -> J.Int n) rows));
+         ("results", J.List (List.map snd rows));
          ("identical", J.Bool (not !mismatch));
        ]);
   if !mismatch then begin
@@ -1604,8 +1548,8 @@ let metric_study () =
      claims [guaranteed_exact] must in fact equal the exact answer —
      the honesty contract, violation exits nonzero.
    - per-bound prune attribution: the exact query sweep runs under
-     reset telemetry, so the equal/size/histogram/pq-gram/branch/
-     abandon split shows which cascade stage paid for the pruning. *)
+     reset telemetry, so the equal/size/histogram/abandon/DP split
+     shows which cascade stage paid for the pruning. *)
 let metric_phase2 () =
   let module Gen = Sv_gen.Gen in
   let module T = Sv_perf.Telemetry in
@@ -1708,16 +1652,14 @@ let metric_phase2 () =
     (Printf.sprintf "exact sweep (%d queries)" qn)
     t_sweep k avg_evals n;
   Printf.printf
-    "  cascade: equal=%d size=%d hist=%d pqgram=%d branch=%d abandoned=%d \
-     dp=%d\n"
-    tel.T.equal_prunes tel.T.size_prunes tel.T.hist_prunes tel.T.pqg_prunes
-    tel.T.pq_prunes tel.T.cutoff_abandons tel.T.dp_runs;
+    "  cascade: equal=%d size=%d hist=%d abandoned=%d dp=%d\n"
+    tel.T.equal_prunes tel.T.size_prunes tel.T.hist_prunes
+    tel.T.cutoff_abandons tel.T.dp_runs;
   (* bounded-pair attribution: the same cascade under fixed cutoffs, on
      a mutation corpus. Query-driven cutoffs above are usually generous
-     (the k-th best distance), so the size bound dominates; the profile
-     bounds (pq-gram, then binary branch) win on near-identical pairs
-     whose label multisets agree but whose structure moved — which a
-     mutant population has and a grown one mostly lacks. *)
+     (the k-th best distance), so the size bound dominates; tight
+     cutoffs on a mutant population, whose pairs are near-identical,
+     leave more work to the histogram bound and the DP. *)
   let att_spec = { Gen.seed = 8; count = 60; mode = Gen.Mixed; base = "babelstream" } in
   let att_arr =
     Array.of_list
@@ -1757,10 +1699,10 @@ let metric_phase2 () =
           pair_sample;
         let t = T.ted_snapshot () in
         Printf.printf
-          "    cutoff %-4d %4d within; equal=%d size=%d hist=%d pqgram=%d \
-           branch=%d abandoned=%d dp=%d\n"
+          "    cutoff %-4d %4d within; equal=%d size=%d hist=%d abandoned=%d \
+           dp=%d\n"
           cutoff !within t.T.equal_prunes t.T.size_prunes t.T.hist_prunes
-          t.T.pqg_prunes t.T.pq_prunes t.T.cutoff_abandons t.T.dp_runs;
+          t.T.cutoff_abandons t.T.dp_runs;
         (cutoff, !within, t))
       [ 2; 8; 32 ]
   in
@@ -1861,8 +1803,6 @@ let metric_phase2 () =
          ("equal_prunes", J.Int tel.T.equal_prunes);
          ("size_prunes", J.Int tel.T.size_prunes);
          ("hist_prunes", J.Int tel.T.hist_prunes);
-         ("pqgram_prunes", J.Int tel.T.pqg_prunes);
-         ("branch_prunes", J.Int tel.T.pq_prunes);
          ("cutoff_abandons", J.Int tel.T.cutoff_abandons);
          ("dp_runs", J.Int tel.T.dp_runs);
          ("bounded_attribution_spec", J.String (Gen.spec_string att_spec));
@@ -1878,8 +1818,6 @@ let metric_phase2 () =
                       ("equal_prunes", J.Int t.T.equal_prunes);
                       ("size_prunes", J.Int t.T.size_prunes);
                       ("hist_prunes", J.Int t.T.hist_prunes);
-                      ("pqgram_prunes", J.Int t.T.pqg_prunes);
-                      ("branch_prunes", J.Int t.T.pq_prunes);
                       ("cutoff_abandons", J.Int t.T.cutoff_abandons);
                       ("dp_runs", J.Int t.T.dp_runs);
                     ])

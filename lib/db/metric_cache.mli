@@ -8,14 +8,18 @@
     warm across processes: a cache hit performs {e zero} build
     evaluations and answers queries byte-identically to a cold build.
 
-    Defence in depth on the load path: the svz envelope checksums the
-    file, msgpack decoding validates the framing, and
+    What guards the load path: msgpack decoding validates the framing,
     {!Sv_metric.Vptree.of_repr} re-validates every structural invariant
-    of each tree, plus a final check that the element ids are exactly
-    0..n−1 (they index the candidate array positionally). Any failure
-    anywhere degrades to a miss — a cold rebuild — never a crash or a
-    wrong answer. Truncated or bit-flipped cache files fall back to an
-    empty cache ({!load_file}). *)
+    of each tree, and a final check requires the element ids to be
+    exactly 0..n−1 (they index the candidate array positionally). Any
+    failure there degrades to a miss — a cold rebuild — never a crash.
+    The svz envelope carries no checksum: a flipped bit inside a
+    literal run decodes as different data, and a tree that still passes
+    the checks above is served. A per-record checksum belongs to the
+    single crash-safe persistent store planned in ROADMAP.md ("One
+    crash-safe persistent store for all three caches"). Truncated files
+    and files that fail to decode fall back to an empty cache
+    ({!load_file}). *)
 
 type cache
 

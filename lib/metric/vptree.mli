@@ -11,8 +11,8 @@
     (distance, id) pairs, or all elements within the radius — not an
     approximation, unless the caller explicitly asks for the budgeted
     mode. Queries take a {e bounded} distance evaluator so the caller's
-    cheap-bound cascade (size / histogram / pq-gram / binary-branch
-    profile, for TED) fires on every pruned comparison; the second
+    cheap-bound cascade (equality / size / summary bound, for TED) fires
+    on every pruned comparison; the second
     component of each result is the number of evaluator calls, the
     honest measure of work against the brute-force n. *)
 

@@ -11,17 +11,6 @@ val source_distance : string list -> string list -> int
 (** [source_distance a b] is the insert+delete edit distance between two
     normalised line lists (Eq. 4's summand). *)
 
-type ted_algo = [ `Flat | `Zs ]
-(** Kernel behind {!tree_distance}: [`Flat] (default) compiles each
-    distinct canonical tree once into {!Sv_tree.Flat} contiguous arrays
-    and runs the allocation-free kernel with per-pair strategy selection;
-    [`Zs] is the pointer-tree Zhang–Shasha kernel, kept as the reference
-    baseline. Both compute the identical distance — the bench harness
-    checks whole matrices byte-for-byte. *)
-
-val set_ted_algo : ted_algo -> unit
-val ted_algo : unit -> ted_algo
-
 val warm_flat : Sv_tree.Label.tree -> unit
 (** [warm_flat t] canonises [t] and compiles its flat kernel into the
     process-global memo (keyed by intern id) if not already present.
@@ -35,24 +24,18 @@ val tree_distance : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** Unit-cost TED with the paper's label equality ({!Sv_tree.Label.equal}:
     kind and retained text; locations ignored). Operands are canonised
     through a process-global {!Sv_tree.Hashcons} table, so equal trees
-    cost a pointer compare and repeated operands skip re-interning; the
-    selected {!ted_algo} kernel computes the rest. *)
+    cost an id compare and repeated operands skip re-interning; the
+    {!Sv_tree.Flat} kernel, compiled once per distinct tree, computes the
+    rest. *)
 
 val tree_distance_bounded :
   cutoff:int -> Sv_tree.Label.tree -> Sv_tree.Label.tree -> int option
 (** [tree_distance_bounded ~cutoff t1 t2] is [Some d] iff
-    [tree_distance t1 t2 = d <= cutoff]. Uses the histogram lower-bound
-    prefilter and in-DP early exit of {!Sv_tree.Ted.distance_bounded_int},
-    so rejections are far cheaper than a full TED — the clustering
-    fast path when only "within threshold?" matters. *)
-
-val tree_lower_bound :
-  Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
-(** Admissible lower bound on {!tree_distance} from compile-time
-    summaries only ({!Sv_tree.Flat.lower_bound}: size / histogram /
-    leaves / height deltas and the binary-branch profile bound), through
-    the same process-global canonizer and flat memo as the kernels —
-    never runs a DP. The metric scheduler's prefilter. *)
+    [tree_distance t1 t2 = d <= cutoff]. Uses the size and summary
+    lower-bound prefilters and in-DP early exit of
+    {!Sv_tree.Flat.distance_bounded}, so rejections are far cheaper than
+    a full TED — the k-NN fast path when only "within threshold?"
+    matters. *)
 
 val tree_distance_matched : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** [tree_distance_matched t1 t2] approximates {!tree_distance} by the

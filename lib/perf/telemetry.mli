@@ -15,22 +15,19 @@ type ted = {
   mutable size_prunes : int;
       (** bounded queries rejected by the size-difference bound alone *)
   mutable hist_prunes : int;
-      (** bounded queries rejected by the label-histogram lower bound *)
+      (** bounded queries rejected by the summary lower bound (label
+          histogram, leaf count, height) *)
   mutable pqg_prunes : int;
-      (** bounded queries rejected by the pq-gram profile bound (the
-          parent-extended Augsten-style label-tuple L1/9 distance) after
-          the histogram passed; sits ahead of the branch profile in the
-          cascade so the two stages' prune counts attribute cleanly *)
+      (** always 0; read by perfbench, remove with the next benchmark
+          change *)
   mutable pq_prunes : int;
-      (** bounded queries rejected by the binary-branch profile bound
-          (the Yang–Kalnis–Tung triple L1/5 distance) after the pq-gram
-          profile passed *)
+      (** always 0; read by perfbench, remove with the next benchmark
+          change *)
   mutable cutoff_abandons : int;
       (** DP runs abandoned mid-flight once the cutoff became unreachable *)
-  mutable tri_resolved : int;
-      (** matrix pairs settled by pivot triangle bounds (interval collapse
-          or clamp) without touching the kernel at all *)
-  mutable dp_runs : int;  (** full kernel runs (flat or Zhang–Shasha) *)
+  mutable dp_runs : int;
+      (** runs of the flat kernel's DP ({!Sv_tree.Flat}); the reference
+          [Ted] code counts nothing *)
   mutable flat_compiles : int;  (** trees compiled to flat form *)
   mutable scratch_grows : int;  (** geometric growths of the DP scratch *)
   mutable strategy_left : int;  (** pairs decomposed along the left path *)

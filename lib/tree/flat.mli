@@ -9,10 +9,10 @@
     inner loops. Per pair the kernel picks the cheaper direction (left
     path, or right path via the mirror decomposition — the distance is
     mirror-invariant), and bounded queries pass a pruning cascade (digest
-    equality, size bound, label-histogram/leaves/height lower bound,
-    pq-gram profile bound, binary-branch profile bound) before any DP
-    cell is touched. Distances are exactly those of
-    {!Ted.distance_int}; the bench harness checks the two kernels
+    equality, size bound, label-histogram/leaves/height lower bound)
+    before any DP cell is touched. This is the only production TED
+    kernel. Distances are exactly those of the reference {!Ted.distance}
+    under unit costs; the tests and bench harness check the two
     byte-identical over whole corpora.
 
     Counters for prunes, DP runs, compiles and strategy picks accumulate
@@ -47,35 +47,23 @@ val reserve : ?scratch:scratch -> int -> int -> unit
 
 val lower_bound : t -> t -> int
 (** Admissible lower bound on the unit-cost TED from compile-time
-    summaries only (O(k₁+k₂) in distinct labels / profile bins): the
-    maximum of the size delta, the unmatched label mass, the leaf-count
-    delta, the height delta, the binary-branch profile bound
-    ⌈‖BRV₁−BRV₂‖₁ / 5⌉ (Yang–Kalnis–Tung): one edit operation rewrites at
-    most five (label, first-child, next-sibling) triples, so the L1
-    distance between the triple multisets is ≤ 5·TED — and the pq-gram
-    profile bound ⌈‖PQ₁−PQ₂‖₁ / 9⌉ over the parent-extended tuples (one
-    edit rewrites at most nine of those). Dominates the old
-    four-component bound pointwise. *)
-
-val branch_bound : t -> t -> int
-(** The binary-branch component of {!lower_bound} alone (for telemetry
-    and property tests). *)
-
-val pqgram_bound : t -> t -> int
-(** The pq-gram component of {!lower_bound} alone: Augsten-style label
-    tuples (binary parent + side, label, first-child, next-sibling) over
-    the first-child/next-sibling transform, ⌈L1/9⌉ of the profile
-    difference. Admissible — see the factor-9 argument at the profile
-    builder; property-tested against the brute oracle. Runs ahead of
-    {!branch_bound} in the bounded cascade with its own prune counter. *)
+    summaries only (O(k₁+k₂) in distinct labels): the maximum of the
+    size delta, the unmatched label mass, the leaf-count delta and the
+    height delta. Each edit operation moves each of those by at most
+    one. *)
 
 val distance : ?scratch:scratch -> t -> t -> int
-(** Exact unit-cost TED; equals [Ted.distance_int] on the source trees.
-    Equal flats (pointer or digest) short-circuit to 0. [scratch]
+(** Exact unit-cost TED; equals [Ted.distance ~eq:Int.equal] on the
+    source trees. Equal flats (pointer or digest) short-circuit to 0 and
+    move [equal_prunes]; every other call moves [dp_runs]. [scratch]
     defaults to the process-shared context. *)
 
 val distance_bounded : ?scratch:scratch -> cutoff:int -> t -> t -> int option
 (** [distance_bounded ~cutoff a b] is [Some d] iff [distance a b = d] and
     [d <= cutoff]. Runs the pruning cascade first, so most far pairs are
     rejected without touching the DP; pairs that do reach the DP abandon
-    as soon as the cutoff is provably unreachable. *)
+    as soon as the cutoff is provably unreachable. A call with
+    [cutoff >= 0] moves exactly one of the [equal_prunes],
+    [size_prunes], [hist_prunes] or [dp_runs] counters, plus
+    [cutoff_abandons] when the DP it ran was abandoned; a negative
+    cutoff is [None] and moves none. *)

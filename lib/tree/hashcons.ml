@@ -111,9 +111,10 @@ let stats t =
     misses = t.misses }
 
 (* Canonical int-labelled view: equal subtrees (under the table's label
-   equality) map to the *same physical* [int Tree.t], so downstream
-   consumers — notably [Ted.distance_int]'s equal-subtree fast path —
-   recognise shared structure with a pointer compare. Interning walks and
+   equality) map to the *same physical* [int Tree.t] with the same id, so
+   downstream consumers — notably [Divergence], which skips the TED
+   kernel on equal ids and memoises one compiled [Flat] per id —
+   recognise shared structure without walking it. Interning walks and
    hashes the whole tree, yet callers ask for the same physical root again
    and again (every matrix cell names a unit tree), so the answer is also
    memoised per physical root in an ephemeron table: a repeat costs one

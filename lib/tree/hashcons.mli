@@ -10,9 +10,9 @@
     - shared structure is deduplicated in memory (one node per distinct
       subtree, children physically shared);
     - consumers can build derived views memoised by id — see
-      {!canonizer}, which hands [Ted.distance_int] physically-shared
-      int-labelled trees so its equal-subtree fast path fires on a
-      pointer compare.
+      {!canonizer}, which hands the TED layer physically-shared
+      int-labelled trees and their ids, so equal operands skip the
+      kernel and each distinct tree is compiled to {!Flat} once.
 
     Interning is exact: ids are assigned through a table keyed by
     (label id, child ids), so two subtrees receive the same id iff they

@@ -141,34 +141,55 @@ let test_matrix_shape () =
   checkb "off-diagonal positive" true (m.Sv_cluster.Cluster.data.(0).(2) > 0.0)
 
 (* the flat TED kernel is an implementation detail: every tree metric,
-   over the real corpus, must be byte-for-byte the Zhang–Shasha answer *)
-let test_ted_algo_byte_identity () =
+   over the real corpus, must be the Zhang–Shasha reference answer —
+   [Ted.distance] over positionally matched unit pairs, unmatched tails
+   at full size, built here from the public API alone *)
+let test_ted_reference_byte_identity () =
   let ixs =
     [ find stream "serial"; find stream "omp"; find stream "cuda";
       find stream "kokkos" ]
   in
-  let render (m : Sv_cluster.Cluster.matrix) =
-    String.concat "\n"
-      (Array.to_list
-         (Array.map
-            (fun row ->
-              String.concat " "
-                (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
-            m.Sv_cluster.Cluster.data))
+  let reference tag c1 c2 =
+    let tree c u = Pipeline.unit_tree ~metric:tag ~coverage:false c u in
+    let rec go (d, dmax) us1 us2 =
+      match (us1, us2) with
+      | u1 :: r1, u2 :: r2 ->
+          let t2 = tree c2 u2 in
+          go
+            (d + Sv_tree.Ted.distance ~eq:Label.equal (tree c1 u1) t2,
+             dmax + Tree.size t2)
+            r1 r2
+      | u1 :: r1, [] -> go (d + Tree.size (tree c1 u1), dmax) r1 []
+      | [], u2 :: r2 ->
+          let n = Tree.size (tree c2 u2) in
+          go (d + n, dmax + n) [] r2
+      | [], [] -> (d, dmax)
+    in
+    go (0, 0) c1.Pipeline.ix_units c2.Pipeline.ix_units
   in
-  let run algo =
-    Sv_metrics.Divergence.set_ted_algo algo;
-    Tbmd.clear_memo ();
-    Fun.protect
-      ~finally:(fun () -> Sv_metrics.Divergence.set_ted_algo `Flat)
-      (fun () ->
-        String.concat "\n--\n"
-          (List.map
-             (fun m -> render (Tbmd.matrix m ixs))
-             [ Tbmd.TSrc; Tbmd.TSem; Tbmd.TSemI; Tbmd.TIr ]))
-  in
-  Alcotest.(check string) "flat matrices byte-identical to zs" (run `Zs)
-    (run `Flat)
+  Tbmd.clear_memo ();
+  List.iter
+    (fun (m, tag) ->
+      List.iteri
+        (fun i (c1 : Pipeline.indexed) ->
+          List.iteri
+            (fun j (c2 : Pipeline.indexed) ->
+              if i < j then begin
+                let name =
+                  Printf.sprintf "%s %s -> %s" (Tbmd.metric_label m)
+                    c1.ix_model c2.ix_model
+                in
+                let d, dmax = Tbmd.raw_divergence m c1 c2 in
+                let rd, rdmax = reference tag c1 c2 in
+                checki (name ^ " d") rd d;
+                checki (name ^ " dmax") rdmax dmax;
+                checki (name ^ " d reversed") rd
+                  (fst (Tbmd.raw_divergence m c2 c1))
+              end)
+            ixs)
+        ixs)
+    [ (Tbmd.TSrc, `TSrc); (Tbmd.TSem, `TSem); (Tbmd.TSemI, `TSemI);
+      (Tbmd.TIr, `TIr) ]
 
 (* --- the paper's findings --- *)
 
@@ -606,7 +627,7 @@ let () =
           Alcotest.test_case "metric parsing" `Quick test_metric_parsing;
           Alcotest.test_case "matrix shape" `Quick test_matrix_shape;
           Alcotest.test_case "ted algo byte identity" `Slow
-            test_ted_algo_byte_identity;
+            test_ted_reference_byte_identity;
         ] );
       ( "paper-findings",
         [

@@ -120,11 +120,6 @@ let prop_ted_vs_brute =
     (QCheck.pair arb_tree arb_tree)
     (fun (a, b) -> ted a b = Ted.distance_brute ~eq:Int.equal a b)
 
-let prop_ted_int_agrees =
-  QCheck.Test.make ~name:"distance_int agrees with generic" ~count:200
-    (QCheck.pair arb_tree arb_tree)
-    (fun (a, b) -> Ted.distance_int a b = ted a b)
-
 let prop_ted_symmetric =
   QCheck.Test.make ~name:"unit-cost TED is symmetric" ~count:200
     (QCheck.pair arb_tree arb_tree)
@@ -229,6 +224,11 @@ let rec gen_tree_sized rng n =
   end
 
 let show_tree t = Format.asprintf "%a" (Tree.pp Format.pp_print_int) t
+let show_opt = function Some d -> Printf.sprintf "Some %d" d | None -> "None"
+
+(* The cutoffs every bounded query of the oracle suite is tried at: both
+   sides of the distance, the tightest and a loose one. *)
+let oracle_cutoffs d = [ d - 1; d; d + 3; 0; 64 ]
 
 (* Every TED fact we promise, checked on one pair. [max_brute] bounds
    when the exponential brute-force oracle is consulted. *)
@@ -245,47 +245,26 @@ let check_pair ~max_brute i a b c =
     let oracle = Ted.distance_brute ~eq:Int.equal a b in
     if d <> oracle then ctx "distance %d but brute-force oracle %d" d oracle
   end;
-  if Ted.distance_int a b <> d then ctx "distance_int disagrees with distance";
   if ted b a <> d then ctx "not symmetric: %d vs %d" d (ted b a);
   if d = 0 && not (Tree.equal Int.equal a b) then ctx "zero distance on unequal trees";
   if d <> 0 && Tree.equal Int.equal a b then ctx "nonzero distance %d on equal trees" d;
   if d < abs (sa - sb) then ctx "below the size-delta lower bound";
   if d > sa + sb then ctx "above the size-sum upper bound";
-  let lb = Ted.lower_bound_int a b in
-  if lb > d then ctx "histogram lower bound %d exceeds the distance %d" lb d;
   let fa = Flat.of_tree a and fb = Flat.of_tree b in
   let fd = Flat.distance fa fb in
   if fd <> d then ctx "flat kernel %d disagrees with distance %d" fd d;
   if Flat.distance fb fa <> d then
     ctx "flat kernel not symmetric: %d vs %d" (Flat.distance fb fa) d;
-  let flb = Flat.lower_bound fa fb in
-  if flb <> lb then
-    ctx "Flat.lower_bound %d disagrees with Ted.lower_bound_int %d" flb lb;
+  let lb = Flat.lower_bound fa fb in
+  if lb > d then ctx "summary lower bound %d exceeds the distance %d" lb d;
   List.iter
     (fun cutoff ->
-      (match Ted.distance_bounded ~eq:Int.equal ~cutoff a b with
-      | Some bd ->
-          if bd <> d then ctx "distance_bounded (cutoff %d) = %d, want %d" cutoff bd d;
-          if d > cutoff then ctx "distance_bounded returned Some above cutoff %d" cutoff
-      | None ->
-          if d <= cutoff then
-            ctx "distance_bounded refused a pair within cutoff %d (d = %d)" cutoff d);
-      (match Ted.distance_bounded_int ~cutoff a b with
-      | Some bd ->
-          if bd <> d || d > cutoff then
-            ctx "distance_bounded_int (cutoff %d) = %d, want %d" cutoff bd d
-      | None ->
-          if d <= cutoff then
-            ctx "distance_bounded_int refused a pair within cutoff %d (d = %d)" cutoff d);
-      match Flat.distance_bounded ~cutoff fa fb with
-      | Some bd ->
-          if bd <> d || d > cutoff then
-            ctx "Flat.distance_bounded (cutoff %d) = %d, want %d" cutoff bd d
-      | None ->
-          if d <= cutoff then
-            ctx "Flat.distance_bounded refused a pair within cutoff %d (d = %d)"
-              cutoff d)
-    [ d - 1; d; d + 3; 0; 64 ];
+      let want = if d <= cutoff then Some d else None in
+      let got = Flat.distance_bounded ~cutoff fa fb in
+      if got <> want then
+        ctx "Flat.distance_bounded (cutoff %d) = %s, thresholded distance %s"
+          cutoff (show_opt got) (show_opt want))
+    (oracle_cutoffs d);
   let dac = ted a c and dbc = ted b c in
   if dac > d + dbc then
     ctx "triangle inequality violated via %s: %d > %d + %d" (show_tree c) dac d dbc
@@ -394,9 +373,9 @@ let test_hashcons_equal_iff_id () =
   if !equal_pairs = 0 then
     Alcotest.fail "generator never produced an equal pair; test is vacuous"
 
-(* Canonical int views feed the TED fast path: distances through canon
-   must match the plain kernel (and the brute oracle transitively, since
-   the plain kernel is oracle-checked above). *)
+(* Canonical int views feed the flat kernel: distances through canon
+   must match the reference kernel on the original trees (and the brute
+   oracle transitively, since the reference is oracle-checked above). *)
 let test_hashcons_canon_ted_agrees () =
   let c = Hc.canonizer ~hash:Hashtbl.hash ~equal:Int.equal () in
   let rng = Prng.create 0x7ed0_5eed in
@@ -408,15 +387,16 @@ let test_hashcons_canon_ted_agrees () =
     if Tree.equal Int.equal a b && not (ca == cb) then
       Alcotest.failf "pair %d: equal trees not physically shared" i;
     let d = ted a b in
-    if Ted.distance_int ca cb <> d then
+    let fa = Flat.of_tree ca and fb = Flat.of_tree cb in
+    if Flat.distance fa fb <> d then
       Alcotest.failf "pair %d: TED through canon %d, direct %d (%s vs %s)" i
-        (Ted.distance_int ca cb) d (show_tree a) (show_tree b);
-    if Ted.distance_int ca ca <> 0 then
+        (Flat.distance fa fb) d (show_tree a) (show_tree b);
+    if Flat.distance fa (Flat.of_tree ca) <> 0 then
       Alcotest.failf "pair %d: fast path broke the identity distance" i;
     List.iter
       (fun cutoff ->
         let want = if d <= cutoff then Some d else None in
-        if Ted.distance_bounded_int ~cutoff ca cb <> want then
+        if Flat.distance_bounded ~cutoff fa fb <> want then
           Alcotest.failf "pair %d: bounded TED through canon disagrees at cutoff %d"
             i cutoff)
       [ d - 1; d; d + 3 ]
@@ -440,15 +420,13 @@ let test_flat_degenerate () =
   in
   List.iteri
     (fun i (a, b) ->
-      let want = Ted.distance_int a b in
+      let want = ted a b in
       let fa = Flat.of_tree a and fb = Flat.of_tree b in
       if Flat.distance fa fb <> want then
         Alcotest.failf "degenerate pair %d: flat %d, zs %d" i (Flat.distance fa fb) want;
       let lb = Flat.lower_bound fa fb in
       if lb > want then
-        Alcotest.failf "degenerate pair %d: lower bound %d above distance %d" i lb want;
-      if Ted.lower_bound_int a b <> lb then
-        Alcotest.failf "degenerate pair %d: flat and tree lower bounds disagree" i)
+        Alcotest.failf "degenerate pair %d: lower bound %d above distance %d" i lb want)
     pairs;
   (* chain vs star, same size and labels: the histogram/size components
      are 0, so only the strengthened leaf/height components can prune *)
@@ -462,10 +440,9 @@ let test_flat_strategy_combs () =
   let rec left_comb n = if n <= 1 then leaf 7 else node 3 [ left_comb (n - 2); leaf 1 ] in
   let rec right_comb n = if n <= 1 then leaf 7 else node 3 [ leaf 1; right_comb (n - 2) ] in
   let a = left_comb 41 and b = right_comb 41 in
-  (* zs references first: Ted.distance_int counts its own DP runs *)
-  let zab = Ted.distance_int a b in
-  let zaa = Ted.distance_int a (left_comb 39) in
-  let zbb = Ted.distance_int b (right_comb 39) in
+  let zab = ted a b in
+  let zaa = ted a (left_comb 39) in
+  let zbb = ted b (right_comb 39) in
   let before = T.ted_snapshot () in
   let fa = Flat.of_tree a and fb = Flat.of_tree b in
   let fab = Flat.distance fa fb in
@@ -480,6 +457,58 @@ let test_flat_strategy_combs () =
     Alcotest.failf "strategy never flipped (left %d, right %d)" diff.T.strategy_left
       diff.T.strategy_right;
   checki "every pair ran the DP" 3 diff.T.dp_runs
+
+(* Cascade counter conservation over the seeded oracle pairs: the
+   [ted.prune_ratio] the benchmark reports divides these counters, so each
+   query must land in exactly one of them. A bounded call with a
+   non-negative cutoff moves exactly one of equal / size / hist / dp_runs,
+   [cutoff_abandons] moves exactly on a [None] that ran the DP, and an
+   unbounded call moves exactly one of equal / dp_runs. *)
+let test_flat_counter_conservation () =
+  let rng = Prng.create 0x7ed0_5eed in
+  let moved before =
+    let t = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
+    if t.T.flat_compiles <> 0 then Alcotest.fail "a distance call compiled a flat";
+    t
+  in
+  let fail i a b fmt =
+    Printf.ksprintf
+      (fun m -> Alcotest.failf "pair %d (%s vs %s): %s" i (show_tree a) (show_tree b) m)
+      fmt
+  in
+  for i = 1 to max 500 prop_iters do
+    let a = gen_tree_sized rng (1 + Prng.int rng 10) in
+    let b = gen_tree_sized rng (1 + Prng.int rng 10) in
+    let d = ted a b in
+    let fa = Flat.of_tree a and fb = Flat.of_tree b and fa' = Flat.of_tree a in
+    List.iter
+      (fun cutoff ->
+        let before = T.ted_snapshot () in
+        let r = Flat.distance_bounded ~cutoff fa fb in
+        let t = moved before in
+        let settled = t.T.equal_prunes + t.T.size_prunes + t.T.hist_prunes + t.T.dp_runs in
+        let want = if cutoff < 0 then 0 else 1 in
+        if settled <> want then
+          fail i a b "cutoff %d moved equal %d size %d hist %d dp %d" cutoff
+            t.T.equal_prunes t.T.size_prunes t.T.hist_prunes t.T.dp_runs;
+        let abandoned = if r = None && t.T.dp_runs = 1 then 1 else 0 in
+        if t.T.cutoff_abandons <> abandoned then
+          fail i a b "cutoff %d: %d abandons for a %s with %d DP runs" cutoff
+            t.T.cutoff_abandons (show_opt r) t.T.dp_runs)
+      (oracle_cutoffs d);
+    List.iter
+      (fun (x, y, equal) ->
+        let before = T.ted_snapshot () in
+        ignore (Flat.distance x y);
+        let t = moved before in
+        let want_eq, want_dp = if equal then (1, 0) else (0, 1) in
+        if t.T.equal_prunes <> want_eq || t.T.dp_runs <> want_dp
+           || t.T.size_prunes + t.T.hist_prunes + t.T.cutoff_abandons <> 0
+        then
+          fail i a b "distance moved equal %d dp %d (equal operands: %b)"
+            t.T.equal_prunes t.T.dp_runs equal)
+      [ (fa, fb, Tree.equal Int.equal a b); (fa, fa, true); (fa, fa', true) ]
+  done
 
 (* One scratch context across interleaved sizes: dirty buffers must never
    leak between pairs, and results must match fresh-scratch runs. *)
@@ -606,13 +635,15 @@ let () =
         [
           Alcotest.test_case "degenerate shapes" `Quick test_flat_degenerate;
           Alcotest.test_case "strategy on combs" `Quick test_flat_strategy_combs;
+          Alcotest.test_case "cascade counters conserved" `Quick
+            test_flat_counter_conservation;
           Alcotest.test_case "scratch reuse" `Quick test_flat_scratch_reuse;
           Alcotest.test_case "reserve pre-grows" `Quick test_flat_reserve;
         ] );
       ( "ted-properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_ted_vs_brute; prop_ted_int_agrees; prop_ted_symmetric;
+            prop_ted_vs_brute; prop_ted_symmetric;
             prop_ted_identity; prop_ted_bounds; prop_ted_triangle;
             prop_ted_zero_iff_equal; prop_custom_costs_scale;
           ] );
